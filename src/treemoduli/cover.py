@@ -64,9 +64,6 @@ class CirclePoint:
             r = 0.0
         object.__setattr__(self, "t", r)
 
-    def distance(self, other: "CirclePoint") -> float:
-        return circle_distance(self, other)
-
     def __float__(self) -> float:
         return self.t
 
@@ -92,55 +89,57 @@ class Interval(Enum):
         return self in (Interval.ZERO, Interval.ONE, Interval.INFINITY)
 
 
+def _branch(p: ProjPoint) -> tuple[Interval, float, float, float]:
+    """Exact interval tag and cover value num/den of a point, with rest = den - num.
+
+    The branch values are b/(b-a), a/b and (a-b)/a on (-inf, 0), (0, 1)
+    and (1, inf); rest is formed from the pair directly (-a, b - a and b),
+    so no cancellation enters it.  Selection uses exact signs of the
+    homogeneous pair (the stored b is nonnegative), and the marked points
+    0, 1, infinity get the value 0.
+    """
+    a, b = p.a, p.b
+    if b == 0.0:
+        return Interval.INFINITY, 0.0, a, a
+    if a == 0.0:
+        return Interval.ZERO, 0.0, b, b
+    if a == b:
+        return Interval.ONE, 0.0, b, b
+    if a < 0.0:
+        return Interval.NEGATIVE, b, b - a, -a
+    if a < b:
+        return Interval.UNIT, a, b, b - a
+    return Interval.UPPER, a - b, a, b
+
+
 def classify(p: ProjPoint) -> Interval:
     """Interval tag of a point; boundary tags within the equality tolerance."""
-    if chordal(p, INFINITY) <= POINT_TOL:
-        return Interval.INFINITY
-    if chordal(p, ZERO) <= POINT_TOL:
-        return Interval.ZERO
-    if chordal(p, ONE) <= POINT_TOL:
-        return Interval.ONE
-    if p.a < 0.0:
-        return Interval.NEGATIVE
-    if p.a < p.b:
-        return Interval.UNIT
-    return Interval.UPPER
+    marked = ((Interval.INFINITY, INFINITY), (Interval.ZERO, ZERO), (Interval.ONE, ONE))
+    for tag, q in marked:
+        if chordal(p, q) <= POINT_TOL:
+            return tag
+    return _branch(p)[0]
 
 
 def circle_cover(p: ProjPoint) -> CirclePoint:
     """Three-fold cover of the circle: 1/(1-x), x, 1 - 1/x on the branches.
 
     The three marked points 0, 1, infinity all map to 0 in R/Z.  Branch
-    selection uses exact signs of the homogeneous pair (the stored b is
-    nonnegative), so every division lands in (0, 1).
+    selection uses exact signs of the homogeneous pair, so every division
+    lands in [0, 1].
     """
-    a, b = p.a, p.b
-    if b == 0.0 or a == 0.0 or a == b:
-        return CirclePoint(0.0)
-    if a < 0.0:
-        return CirclePoint(b / (b - a))
-    if a < b:
-        return CirclePoint(a / b)
-    return CirclePoint((a - b) / a)
+    _, num, den, _ = _branch(p)
+    return CirclePoint(num / den)
 
 
 def cover_derivative(p: ProjPoint) -> float:
     """Derivative of the circle cover: (1-x)^-2, 1, x^-2 on the branches.
 
-    Continuous across the seams (value 1 at 0 and 1, value 0 at
-    infinity) and strictly positive on the reals.
+    Equal to (b/den)^2 for the branch denominator den.  Continuous across
+    the seams (value 1 at 0 and 1, value 0 at infinity) and strictly
+    positive on the reals.
     """
-    a, b = p.a, p.b
-    if b == 0.0:
-        return 0.0
-    if a == 0.0 or a == b:
-        return 1.0
-    if a < 0.0:
-        r = b / (b - a)
-        return r * r
-    if a < b:
-        return 1.0
-    r = b / a
+    r = p.b / _branch(p)[2]
     return r * r
 
 
@@ -171,31 +170,24 @@ def logit(p: ProjPoint) -> ProjPoint:
 
     Raises DomainError for affine values outside [0, 1].
     """
-    a, b = p.a, p.b
-    if b == 0.0 or a < 0.0 or a > b:
+    if _branch(p)[0] not in (Interval.UNIT, Interval.ZERO, Interval.ONE):
         raise DomainError("logit needs an affine value in [0, 1]")
-    if a == 0.0 or a == b:
-        return INFINITY
-    return ProjPoint.from_affine(math.log(a) - math.log(b - a))
+    return line_cover(p)
 
 
 def line_cover(p: ProjPoint) -> ProjPoint:
     """Logit of the circle cover: a three-fold cover of the line itself.
 
     Branch values are -log|x| on (-inf, 0), log(x/(1-x)) on (0, 1) and
-    log(x - 1) on (1, inf), all computed on the homogeneous pair; the
-    marked points 0, 1, infinity map to infinity.  Continuous as a map
-    of pointed projective lines (the sign flips across a seam happen
-    through the point at infinity).
+    log(x - 1) on (1, inf), each computed as log num - log rest of the
+    circle cover value; the marked points 0, 1, infinity map to
+    infinity.  Continuous as a map of pointed projective lines (the sign
+    flips across a seam happen through the point at infinity).
     """
-    a, b = p.a, p.b
-    if b == 0.0 or a == 0.0 or a == b:
+    tag, num, _, rest = _branch(p)
+    if tag.is_boundary:
         return INFINITY
-    if a < 0.0:
-        return ProjPoint.from_affine(math.log(b) - math.log(-a))
-    if a < b:
-        return ProjPoint.from_affine(math.log(a) - math.log(b - a))
-    return ProjPoint.from_affine(math.log(a - b) - math.log(b))
+    return ProjPoint.from_affine(math.log(num) - math.log(rest))
 
 
 def devadoss_length(

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cover import CirclePoint, circle_cover
+from .cover import CirclePoint, circle_cover, cover_derivative
 from .projline import (
     INFINITY,
     ONE,
@@ -27,6 +27,8 @@ from .projline import (
     ZERO,
     MobiusMap,
     ProjPoint,
+    _cross,
+    _det,
     chordal,
     cross_ratio,
     frame_map,
@@ -218,34 +220,38 @@ def albanese(c: Configuration) -> list[CirclePoint]:
 # -- fast chart-side evaluation ------------------------------------------
 
 def _triple_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Triple index table and the b column of its last point (0 at the infinity anchor)."""
     t = np.asarray(triples(n), dtype=int)
-    return t, (t[:, 2] == n)
+    return t, (t[:, 2] != n).astype(float)
 
 
-def _marked_values(u: np.ndarray) -> np.ndarray:
-    """Affine positions of x_1..x_{n-1} in the standard gauge."""
-    return np.concatenate([u, [1.0]])
+def _chart_pairs(u: np.ndarray, trip: np.ndarray, bk: np.ndarray):
+    """Homogeneous pairs of (x_0, x_i, x_j, x_k) for every triple, flattened.
+
+    In the standard gauge x_0 = [0 : 1], x_m = [u_m : 1], x_{n-1} = [1 : 1]
+    and x_n = [1 : 0]; only the last point of a triple can be x_n.
+    """
+    a = np.concatenate([[0.0], u, [1.0, 1.0]])
+    return 0.0, 1.0, a[trip[:, 0]], 1.0, a[trip[:, 1]], 1.0, a[trip[:, 2]], bk
 
 
-def _chart_ratios(u: np.ndarray, trip: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
+def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
     """Cross-ratios of all triples at a chart, as affine values.
 
-    For k < n the value is pi (pj - pk) / (pj (pi - pk)); triples whose
-    last index is the infinity anchor reduce to pi / pj.
+    The same determinant formula as the exact path's cross_ratio.
     """
-    vals = _marked_values(u)
-    pi = vals[trip[:, 0] - 1]
-    pj = vals[trip[:, 1] - 1]
-    rho = np.empty(len(trip))
-    rho[at_inf] = pi[at_inf] / pj[at_inf]
-    fin = ~at_inf
-    if fin.any():
-        pk = vals[trip[fin, 2] - 1]
-        rho[fin] = (pi[fin] * (pj[fin] - pk)) / (pj[fin] * (pi[fin] - pk))
-    return rho
+    num, den = _cross(*_chart_pairs(u, trip, bk))
+    return num / den
 
 
 def _cover_values(rho: np.ndarray) -> np.ndarray:
+    """Circle cover of affine ratios: the array copy of cover._branch.
+
+    The branch values stay affine, 1/(1-x), x and 1 - 1/x, rather than
+    the homogeneous quotients of _branch: the central differences divide
+    every one-ulp change of a value by 2 h, so other rounding would move
+    the printed Jacobian-derived output.
+    """
     t = np.empty_like(rho)
     neg = rho < 0.0
     mid = (rho >= 0.0) & (rho <= 1.0)
@@ -254,15 +260,6 @@ def _cover_values(rho: np.ndarray) -> np.ndarray:
     t[mid] = rho[mid]
     t[up] = 1.0 - 1.0 / rho[up]
     return t
-
-
-def _cover_derivs(rho: np.ndarray) -> np.ndarray:
-    d = np.ones_like(rho)
-    neg = rho < 0.0
-    up = rho > 1.0
-    d[neg] = (1.0 - rho[neg]) ** -2
-    d[up] = rho[up] ** -2
-    return d
 
 
 def _seam_margin(rho: np.ndarray) -> float:
@@ -287,67 +284,66 @@ def albanese_jacobian(
     of triple S with respect to u_m.  "central" takes symmetric
     finite differences of the cover values, wrapping each difference
     into the lift nearest the base value; "analytic" uses the chain
-    rule through the cover derivative and the cross-ratio gradient.
+    rule through the cover derivative and the logarithmic derivative of
+    the cross-ratio.
 
-    Raises SeamTooClose when some triple ratio is within 10 h (chordal)
-    of a marked point, where the stencil could straddle a seam.
+    Raises SeamTooClose unless every triple ratio is more than 10 h
+    (chordal) from a marked point, where the stencil could straddle a
+    seam; colliding coordinates, whose ratios are 0/0 or infinite, are
+    refused as well.
     """
     h = float(h)
-    trip, at_inf = _triple_arrays(u.n)
+    trip, bk = _triple_arrays(u.n)
     base = u.as_array()
-    rho0 = _chart_ratios(base, trip, at_inf)
-    margin = _seam_margin(rho0)
-    if margin <= 10.0 * h:
-        raise SeamTooClose(f"seam margin {margin:.3e} <= 10 h = {10 * h:.3e}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = _seam_margin(_chart_ratios(base, trip, bk))
+    if not margin > 10.0 * h:
+        raise SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
     dim = len(base)
-    jac = np.empty((len(trip), dim))
     if method == "central":
+        jac = np.empty((len(trip), dim))
         for m in range(dim):
             up_ = base.copy()
             dn = base.copy()
             up_[m] += h
             dn[m] -= h
-            tp = _cover_values(_chart_ratios(up_, trip, at_inf))
-            tm = _cover_values(_chart_ratios(dn, trip, at_inf))
+            tp = _cover_values(_chart_ratios(up_, trip, bk))
+            tm = _cover_values(_chart_ratios(dn, trip, bk))
             jac[:, m] = _wrap(tp - tm) / (2.0 * h)
         return jac
     if method == "analytic":
-        kprime = _cover_derivs(rho0)
-        vals = _marked_values(base)
-        pi = vals[trip[:, 0] - 1]
-        pj = vals[trip[:, 1] - 1]
-        pk = np.where(at_inf, np.nan, vals[np.minimum(trip[:, 2], u.n - 1) - 1])
-        for m in range(dim):
-            label = m + 1
-            drho = np.zeros(len(trip))
-            for slot in range(3):
-                sel = trip[:, slot] == label
-                if not sel.any():
-                    continue
-                a, b, c = pi[sel], pj[sel], pk[sel]
-                inf_sel = at_inf[sel]
-                if slot == 0:
-                    g = np.where(inf_sel, 1.0 / b, -c * (b - c) / (b * (a - c) ** 2))
-                elif slot == 1:
-                    g = np.where(inf_sel, -a / b**2, a * c / (b**2 * (a - c)))
-                else:
-                    # slot 2 with k = n is the infinity anchor, never a coordinate
-                    g = a * (b - a) / (b * (a - c) ** 2)
-                drho[sel] = g
-            jac[:, m] = kprime * drho
+        # For D(p, q) = a_p b_q - a_q b_p, d log|D| / d a_p = b_q / D and
+        # d log|D| / d a_q = -b_p / D; rho = D(0,i) D(j,k) / (D(0,j) D(i,k)).
+        a0, b0, ai, bi, aj, bj, ak, bk = _chart_pairs(base, trip, bk)
+        d0i, djk = _det(a0, b0, ai, bi), _det(aj, bj, ak, bk)
+        d0j, dik = _det(a0, b0, aj, bj), _det(ai, bi, ak, bk)
+        num, den = d0i * djk, d0j * dik
+        kprime = np.array([cover_derivative(ProjPoint(p, q)) for p, q in zip(num, den)])
+        grad = np.column_stack(
+            [-b0 / d0i - bk / dik, bk / djk + b0 / d0j, bi / dik - bj / djk]
+        ) * (kprime * num / den)[:, None]
+        cols = trip - 1  # point m is chart coordinate m - 1 for m <= n - 2
+        rows, slots = np.nonzero(cols < dim)
+        jac = np.zeros((len(trip), dim))
+        jac[rows, cols[rows, slots]] = grad[rows, slots]
         return jac
     raise ValueError(f"unknown method {method!r}")
 
 
-def jacobian_rank(jac: np.ndarray, tol: float = 1e-6) -> int:
-    """Number of singular values above tol times the largest."""
+def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[int, float]:
+    """Rank at relative singular value tolerance tol, and the ratio s_min / s_max."""
     jac = np.asarray(jac, dtype=float)
     if not np.isfinite(jac).all():
         raise NonFiniteEntry("jacobian contains non-finite entries")
     s = np.linalg.svd(jac, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+        return 0, 0.0
+    return int(np.sum(s > tol * s[0])), float(s[-1] / s[0])
+
+
+def jacobian_rank(jac: np.ndarray, tol: float = 1e-6) -> int:
+    """Number of singular values above tol times the largest."""
+    return _rank_and_ratio(jac, tol)[0]
 
 
 def metric_matrix(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
@@ -447,11 +443,9 @@ def regauged_sigma_ratios(u: ChartPoint, h: float = 1e-6) -> list[float]:
                 perm = list(range(1, n + 1))
                 perm[m - 1], perm[n - 1] = perm[n - 1], perm[m - 1]
                 chart = chart_coords(relabel(perm, base))
-            s = np.linalg.svd(albanese_jacobian(chart, h), compute_uv=False)
+            ratios.append(_rank_and_ratio(albanese_jacobian(chart, h), 0.0)[1])
         except (SeamTooClose, InvalidChart):
             continue
-        if s[0] > 0.0:
-            ratios.append(float(s[-1] / s[0]))
     return ratios
 
 
@@ -477,7 +471,7 @@ def rank_scan(
         raise ValueError("rank_scan supports 3 <= n <= 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    trip, at_inf = _triple_arrays(n)
+    trip, bk = _triple_arrays(n)
     dim = n - 2
     full = 0
     min_rank = dim
@@ -489,16 +483,14 @@ def rank_scan(
             t = rng.random(dim)
             u = np.tan(np.pi * (t + 0.25))
             if np.isfinite(u).all() and _seam_margin(
-                _chart_ratios(u, trip, at_inf)
+                _chart_ratios(u, trip, bk)
             ) > 10.0 * h:
                 break
         else:
-            raise RuntimeError(f"trial {k}: no open-stratum draw in {reject_cap} tries")
-        chart = ChartPoint(tuple(u))
-        jac = albanese_jacobian(chart, h)
-        s = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
-        ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+            raise SeamTooClose(
+                f"trial {k}: no draw with seam margin above 10 h in {reject_cap} tries"
+            )
+        rank, ratio = _rank_and_ratio(albanese_jacobian(ChartPoint(tuple(u)), h), tol)
         if rank == dim:
             full += 1
         elif counterexample is None:

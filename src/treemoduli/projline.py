@@ -147,6 +147,22 @@ class ProjPoint:
         return cls.from_affine(float(obj))
 
 
+def _det(a0, b0, a1, b1):
+    """The determinant a0 b1 - a1 b0 of the pairs [a0 : b0] and [a1 : b1].
+
+    Plain arithmetic, so the arguments may be floats or numpy arrays.
+    """
+    return a0 * b1 - a1 * b0
+
+
+def _cross(a0, b0, a1, b1, a2, b2, a3, b3):
+    """Cross-ratio of four pairs as (num, den) = (x_01 x_23, x_02 x_13)."""
+    return (
+        _det(a0, b0, a1, b1) * _det(a2, b2, a3, b3),
+        _det(a0, b0, a2, b2) * _det(a1, b1, a3, b3),
+    )
+
+
 ZERO = ProjPoint(0.0, 1.0)
 ONE = ProjPoint(1.0, 1.0)
 INFINITY = ProjPoint(1.0, 0.0)
@@ -158,7 +174,7 @@ def chordal(p: ProjPoint, q: ProjPoint) -> float:
     Scale-free and finite at infinity, so it is usable as the global
     point-equality metric.
     """
-    num = abs(p.a * q.b - q.a * p.b)
+    num = abs(_det(p.a, p.b, q.a, q.b))
     return num / (math.hypot(p.a, p.b) * math.hypot(q.a, q.b))
 
 
@@ -175,7 +191,7 @@ class MobiusMap:
         for e in (a, b, c, d):
             if not math.isfinite(e):
                 raise DegenerateMatrix("matrix entries must be finite")
-        if a * d - b * c == 0.0:
+        if _det(a, c, b, d) == 0.0:
             raise DegenerateMatrix("matrix has zero determinant")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -191,7 +207,7 @@ class MobiusMap:
 
     @property
     def det(self) -> float:
-        return self.a * self.d - self.b * self.c
+        return _det(self.a, self.c, self.b, self.d)
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * p.a + self.b * p.b, self.c * p.a + self.d * p.b)
@@ -209,11 +225,6 @@ class MobiusMap:
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def unit_det(self) -> "MobiusMap":
-        """Rescaled so that the determinant is +-1."""
-        s = 1.0 / math.sqrt(abs(self.det))
-        return MobiusMap(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def scale(self, s: float) -> "MobiusMap":
         return MobiusMap(self.a * s, self.b * s, self.c * s, self.d * s)
@@ -284,10 +295,6 @@ S3_ELEMENTS = {
 _S3_BY_PERM = {g.perm: g for g in S3_ELEMENTS.values()}
 
 
-def _det2(p: ProjPoint, q: ProjPoint) -> float:
-    return p.a * q.b - q.a * p.b
-
-
 def cross_ratio(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> ProjPoint:
     """Cross-ratio of four points, computed homogeneously.
 
@@ -299,8 +306,7 @@ def cross_ratio(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> P
     Raises IndeterminateCrossRatio when numerator and denominator both
     vanish (three or more coincident points).
     """
-    num = _det2(p0, p1) * _det2(p2, p3)
-    den = _det2(p0, p2) * _det2(p1, p3)
+    num, den = _cross(p0.a, p0.b, p1.a, p1.b, p2.a, p2.b, p3.a, p3.b)
     if num == 0.0 and den == 0.0:
         raise IndeterminateCrossRatio("cross-ratio is 0/0 on this quadruple")
     return ProjPoint(num, den)
@@ -319,8 +325,8 @@ def frame_map(q0: ProjPoint, q1: ProjPoint, qinf: ProjPoint) -> MobiusMap:
         or chordal(q1, qinf) <= POINT_TOL
     ):
         raise DegenerateAnchor("anchor points must be pairwise distinct")
-    k1i = _det2(q1, qinf)
-    k01 = _det2(q0, q1)
+    k1i = _det(q1.a, q1.b, qinf.a, qinf.b)
+    k01 = _det(q0.a, q0.b, q1.a, q1.b)
     return MobiusMap(-k1i * q0.b, k1i * q0.a, k01 * qinf.b, -k01 * qinf.a)
 
 

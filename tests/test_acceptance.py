@@ -204,10 +204,10 @@ def test_criterion_07_cross_ratio_invariances():
 
 
 def _random_chart(rng, n, margin):
-    trip, at_inf = _triple_arrays(n)
+    trip, bk = _triple_arrays(n)
     while True:
         u = np.tan(np.pi * (rng.random(n - 2) + 0.25))
-        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, at_inf)) > margin:
+        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, bk)) > margin:
             return ChartPoint(tuple(u))
 
 
@@ -220,7 +220,7 @@ def test_criterion_08_metric_validity():
     rng = np.random.default_rng(108)
     ok = True
     for n in (4, 5, 6):
-        trip, at_inf = _triple_arrays(n)
+        trip, bk = _triple_arrays(n)
         dim = n - 2
         done = 0
         while done < 200 and ok:
@@ -238,7 +238,7 @@ def test_criterion_08_metric_validity():
             u2 = _transition(perm, u)
             if (
                 np.abs(u2).max() > 1e3
-                or _seam_margin(_chart_ratios(u2, trip, at_inf)) < 1e-3
+                or _seam_margin(_chart_ratios(u2, trip, bk)) < 1e-3
             ):
                 continue
             dphi = np.empty((dim, dim))

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,15 @@ def test_golden_outputs():
     assert run_ok("plot", "helix", "--k", "12") == (
         GOLDEN / "plot_helix.csv"
     ).read_text()
+    # finite-difference chart path: rank scans, a metric, and a bisected seam crossing
+    table = [
+        (("rank-scan", "--n", "5", "--trials", "200", "--seed", "109"), "rank_scan_n5_seed109.txt"),
+        (("rank-scan", "--n", "8", "--trials", "200", "--seed", "0"), "rank_scan_n8_seed0.txt"),
+        (("metric", "--chart", "0.1,0.2,0.35,-4,9"), "metric_n7.txt"),
+        (("curve-length", "--input", str(GOLDEN / "seam_path.csv")), "curve_length_seam.txt"),
+    ]
+    for argv, name in table:
+        assert run_ok(*argv) == (GOLDEN / name).read_text(), name
 
 
 def test_json_round_trip():
@@ -206,6 +216,23 @@ def test_exit_code_numerical_precondition():
     assert code == 3
     code, _ = run("crossratio", "0", "0", "0", "1")
     assert code == 3
+
+
+def test_exit_code_seam_collision_without_warnings(capsys):
+    # coordinate 1 collides with the gauge point 1: some ratios are
+    # infinite and the seam margin is NaN, which must still be refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run("metric", "--chart", "1,0.5")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("treemoduli: seam margin nan")
+
+
+def test_exit_code_rank_scan_reject_cap(capsys):
+    # with h = 0.5 every draw is rejected; the cap ends in a typed error
+    code, out = run("rank-scan", "--n", "4", "--trials", "3", "--h", "0.5")
+    assert code == 3 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_help_exits_zero():

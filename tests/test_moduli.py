@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treemoduli.cover import circle_cover, circle_distance, devadoss_length, logit
 from treemoduli.moduli import (
@@ -28,7 +30,7 @@ from treemoduli.moduli import (
     triple_coord,
     triples,
 )
-from treemoduli.moduli import _chart_ratios, _seam_margin, _triple_arrays
+from treemoduli.moduli import _chart_ratios, _cover_values, _seam_margin, _triple_arrays
 from treemoduli.projline import (
     INFINITY,
     ONE,
@@ -45,10 +47,10 @@ def pt(x):
 
 def random_chart(rng, n, margin=1e-4):
     """Open-stratum chart drawn from the circle's round measure."""
-    trip, at_inf = _triple_arrays(n)
+    trip, bk = _triple_arrays(n)
     while True:
         u = np.tan(np.pi * (rng.random(n - 2) + 0.25))
-        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, at_inf)) > margin:
+        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, bk)) > margin:
             return ChartPoint(tuple(u))
 
 
@@ -165,13 +167,47 @@ def test_fast_chart_path_matches_point_path():
     for _ in range(100):
         n = int(rng.integers(3, 7))
         u = random_chart(rng, n)
-        trip, at_inf = _triple_arrays(n)
-        rho = _chart_ratios(u.as_array(), trip, at_inf)
+        trip, bk = _triple_arrays(n)
+        rho = _chart_ratios(u.as_array(), trip, bk)
         c = chart_embed(u)
         for s, r in zip(triples(n), rho):
             slow = triple_coord(c, s)
             fast = circle_cover(ProjPoint.from_affine(r))
             assert circle_distance(slow, fast) < 1e-9
+
+
+@st.composite
+def extreme_charts(draw):
+    """Charts with |u| from 1e-9 to 1e12 and gaps down to 1e-9 to 0, 1 or each other."""
+    u = []
+    for _ in range(draw(st.integers(1, 6))):
+        anchors = [0.0, 1.0] + u
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(anchors))
+            gap = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-9.0, 0.0))
+            u.append(x + gap * max(1.0, abs(x)))
+        else:
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            u.append(sign * 10.0 ** draw(st.floats(-9.0, 12.0)))
+    chart = ChartPoint(tuple(u))
+    try:
+        chart_embed(chart)
+    except InvalidChart:
+        assume(False)
+    return chart
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(extreme_charts())
+def test_fast_chart_path_matches_point_path_at_extreme_charts(u):
+    # the chart path evaluates the exact path's determinants, so the
+    # ratios agree bit for bit; the cover values differ only in rounding
+    c = chart_embed(u)
+    trip, bk = _triple_arrays(u.n)
+    rho = _chart_ratios(u.as_array(), trip, bk)
+    for s, r, t in zip(triples(u.n), rho, _cover_values(rho)):
+        assert cross_ratio(*forgetful(c, s)).affine == r
+        assert circle_distance(triple_coord(c, s), t) < 1e-15
 
 
 def test_albanese_enumeration():
@@ -238,6 +274,9 @@ def test_jacobian_seam_guard():
         albanese_jacobian(ChartPoint((0.5, 0.5 + 1e-9)))
     with pytest.raises(SeamTooClose):
         albanese_jacobian(ChartPoint((1.0 + 1e-9,)))
+    # a coordinate on the gauge point 1 makes some ratios infinite and the margin NaN
+    with pytest.raises(SeamTooClose):
+        albanese_jacobian(ChartPoint((1.0, 0.5)))
 
 
 def test_jacobian_central_vs_analytic():
@@ -326,8 +365,8 @@ def test_relabeling_acts_by_isometries():
         perm = [int(v) for v in rng.permutation(np.arange(1, n + 1))]
         base = u.as_array()
         u2 = transition(perm, u)
-        trip, at_inf = _triple_arrays(n)
-        if np.abs(u2).max() > 1e3 or _seam_margin(_chart_ratios(u2, trip, at_inf)) < 1e-3:
+        trip, bk = _triple_arrays(n)
+        if np.abs(u2).max() > 1e3 or _seam_margin(_chart_ratios(u2, trip, bk)) < 1e-3:
             continue
         dim = n - 2
         dphi = np.empty((dim, dim))
