@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -174,7 +175,11 @@ def _load_configuration(args) -> moduli.Configuration:
 def _read_chart_rows(args) -> list[moduli.ChartPoint]:
     if not getattr(args, "input", None):
         raise ParseError("curve-length needs --input PATH or --input -")
-    text = sys.stdin.read() if args.input == "-" else open(args.input, encoding="utf-8").read()
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input, encoding="utf-8") as fh:
+            text = fh.read()
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -299,11 +304,26 @@ def _dispatch(args, out) -> None:
             )
 
 
+# A minus sign followed by a digit, a point or "inf" starts a number (or a
+# chart list), never an option; argparse alone takes "-1e3" and "-0.3,0.5"
+# for unknown options.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf)", re.IGNORECASE)
+
+
+def _shield_negative_numbers(argv: list[str]) -> list[str]:
+    """Prefix negative numeric tokens with a space, which argparse never reads as an option.
+
+    Every value parser strips the space again (float, int, parse_point, Fraction).
+    """
+    return [" " + tok if _NEGATIVE_NUMBER.match(tok) else tok for tok in argv]
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_shield_negative_numbers(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

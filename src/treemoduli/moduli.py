@@ -13,6 +13,7 @@ isometries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -219,20 +220,28 @@ def albanese(c: Configuration) -> list[CirclePoint]:
 
 # -- fast chart-side evaluation ------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def _triple_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triple index table and the b column of its last point (0 at the infinity anchor)."""
+    """Triple index table and the b column of its last point (0 at the infinity anchor).
+
+    Cached and read-only: every Jacobian at the same n shares one table.
+    """
     t = np.asarray(triples(n), dtype=int)
-    return t, (t[:, 2] != n).astype(float)
+    bk = (t[:, 2] != n).astype(float)
+    t.flags.writeable = bk.flags.writeable = False
+    return t, bk
 
 
 def _chart_pairs(u: np.ndarray, trip: np.ndarray, bk: np.ndarray):
-    """Homogeneous pairs of (x_0, x_i, x_j, x_k) for every triple, flattened.
+    """Homogeneous pairs of (x_0, x_i, x_j, x_k) for every triple, on the last axis.
 
     In the standard gauge x_0 = [0 : 1], x_m = [u_m : 1], x_{n-1} = [1 : 1]
-    and x_n = [1 : 0]; only the last point of a triple can be x_n.
+    and x_n = [1 : 0]; only the last point of a triple can be x_n.  Leading
+    axes of u are batch axes.
     """
-    a = np.concatenate([[0.0], u, [1.0, 1.0]])
-    return 0.0, 1.0, a[trip[:, 0]], 1.0, a[trip[:, 1]], 1.0, a[trip[:, 2]], bk
+    lead = u.shape[:-1]
+    a = np.concatenate([np.zeros(lead + (1,)), u, np.ones(lead + (2,))], axis=-1)
+    return 0.0, 1.0, a[..., trip[:, 0]], 1.0, a[..., trip[:, 1]], 1.0, a[..., trip[:, 2]], bk
 
 
 def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -262,17 +271,53 @@ def _cover_values(rho: np.ndarray) -> np.ndarray:
     return t
 
 
-def _seam_margin(rho: np.ndarray) -> float:
-    """Smallest chordal distance from any triple ratio to {0, 1, infinity}."""
+def _seam_margin(rho: np.ndarray) -> np.ndarray:
+    """Smallest chordal distance from any triple ratio on the last axis to {0, 1, infinity}."""
     s = np.hypot(rho, 1.0)
     d0 = np.abs(rho) / s
     d1 = np.abs(rho - 1.0) / (s * math.sqrt(2.0))
     dinf = 1.0 / s
-    return float(np.min(np.minimum(np.minimum(d0, d1), dinf)))
+    return np.min(np.minimum(np.minimum(d0, d1), dinf), axis=-1)
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
     return (d + 0.5) % 1.0 - 0.5
+
+
+def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
+
+    Row r of the up and down stencils moves coordinate r by +h and -h, and
+    each stencil goes through the cover in one evaluation; every entry is
+    the same float operations as perturbing one chart and one coordinate
+    at a time.  Each difference is wrapped into the lift nearest the base
+    value.  The caller checks the seam margin.
+    """
+    dim = U.shape[-1]
+    r = np.arange(dim)
+    up = np.repeat(U[:, None, :], dim, axis=1)
+    dn = up.copy()
+    up[:, r, r] += h
+    dn[:, r, r] -= h
+    tp = _cover_values(_chart_ratios(up, trip, bk))
+    tm = _cover_values(_chart_ratios(dn, trip, bk))
+    return np.ascontiguousarray((_wrap(tp - tm) / (2.0 * h)).transpose(0, 2, 1))
+
+
+# Trials per rank_scan block: about 1e4 stencil values at n = 8.  Larger
+# blocks raise the peak RSS of rank-scan and save little time, since the
+# per-trial random streams then dominate.
+_SCAN_BLOCK = 16
+
+
+def _check_step(h: float, tol: float | None = None) -> float:
+    """h as a float; ValueError unless h is finite and positive and tol, if given, is in (0, 1)."""
+    h = float(h)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if tol is not None and not 0.0 < float(tol) < 1.0:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
+    return h
 
 
 def albanese_jacobian(
@@ -290,9 +335,9 @@ def albanese_jacobian(
     Raises SeamTooClose unless every triple ratio is more than 10 h
     (chordal) from a marked point, where the stencil could straddle a
     seam; colliding coordinates, whose ratios are 0/0 or infinite, are
-    refused as well.
+    refused as well.  Raises ValueError unless h is finite and positive.
     """
-    h = float(h)
+    h = _check_step(h)
     trip, bk = _triple_arrays(u.n)
     base = u.as_array()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,16 +346,7 @@ def albanese_jacobian(
         raise SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
     dim = len(base)
     if method == "central":
-        jac = np.empty((len(trip), dim))
-        for m in range(dim):
-            up_ = base.copy()
-            dn = base.copy()
-            up_[m] += h
-            dn[m] -= h
-            tp = _cover_values(_chart_ratios(up_, trip, bk))
-            tm = _cover_values(_chart_ratios(dn, trip, bk))
-            jac[:, m] = _wrap(tp - tm) / (2.0 * h)
-        return jac
+        return _central_jacobians(base[None], h, trip, bk)[0]
     if method == "analytic":
         # For D(p, q) = a_p b_q - a_q b_p, d log|D| / d a_p = b_q / D and
         # d log|D| / d a_q = -b_p / D; rho = D(0,i) D(j,k) / (D(0,j) D(i,k)).
@@ -330,20 +366,25 @@ def albanese_jacobian(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[int, float]:
-    """Rank at relative singular value tolerance tol, and the ratio s_min / s_max."""
+def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks at relative singular value tolerance tol, and ratios s_min / s_max.
+
+    jac is one Jacobian or a (..., T, dim) stack of them, decomposed in
+    one SVD call; an all-zero Jacobian has rank 0 and ratio 0.0.
+    """
     jac = np.asarray(jac, dtype=float)
     if not np.isfinite(jac).all():
         raise NonFiniteEntry("jacobian contains non-finite entries")
     s = np.linalg.svd(jac, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, 0.0
-    return int(np.sum(s > tol * s[0])), float(s[-1] / s[0])
+    top = s.max(axis=-1, initial=0.0)
+    low = s.min(axis=-1, initial=np.inf)
+    rank = np.sum(s > tol * top[..., None], axis=-1)
+    return rank, np.divide(low, top, out=np.zeros_like(top), where=top > 0.0)
 
 
 def jacobian_rank(jac: np.ndarray, tol: float = 1e-6) -> int:
     """Number of singular values above tol times the largest."""
-    return _rank_and_ratio(jac, tol)[0]
+    return int(_rank_and_ratio(jac, tol)[0])
 
 
 def metric_matrix(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
@@ -443,7 +484,7 @@ def regauged_sigma_ratios(u: ChartPoint, h: float = 1e-6) -> list[float]:
                 perm = list(range(1, n + 1))
                 perm[m - 1], perm[n - 1] = perm[n - 1], perm[m - 1]
                 chart = chart_coords(relabel(perm, base))
-            ratios.append(_rank_and_ratio(albanese_jacobian(chart, h), 0.0)[1])
+            ratios.append(float(_rank_and_ratio(albanese_jacobian(chart, h), 0.0)[1]))
         except (SeamTooClose, InvalidChart):
             continue
     return ratios
@@ -464,6 +505,8 @@ def rank_scan(
     seam margin is at most 10 h, and reports how often the Jacobian has
     full rank n - 2.  The per-trial random streams are derived from
     (seed, trial), so the report is reproducible and order-independent.
+    Trials are evaluated in blocks: one stencil evaluation and one SVD
+    call per block, with the same bits as one Jacobian per trial.
     """
     n = int(n)
     trials = int(trials)
@@ -471,32 +514,44 @@ def rank_scan(
         raise ValueError("rank_scan supports 3 <= n <= 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if reject_cap < 1:
+        raise ValueError("reject_cap must be >= 1")
+    h = _check_step(h, tol)
     trip, bk = _triple_arrays(n)
     dim = n - 2
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return np.tan(np.pi * (rng.random(dim) + 0.25))
+
+    def accepted(U: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margin = _seam_margin(_chart_ratios(U, trip, bk))
+        return np.isfinite(U).all(axis=-1) & (margin > 10.0 * h)
+
     full = 0
     min_rank = dim
     worst_ratio = math.inf
     counterexample = None
-    for k in range(trials):
-        rng = np.random.default_rng([int(seed), k])
-        for _ in range(reject_cap):
-            t = rng.random(dim)
-            u = np.tan(np.pi * (t + 0.25))
-            if np.isfinite(u).all() and _seam_margin(
-                _chart_ratios(u, trip, bk)
-            ) > 10.0 * h:
-                break
-        else:
-            raise SeamTooClose(
-                f"trial {k}: no draw with seam margin above 10 h in {reject_cap} tries"
-            )
-        rank, ratio = _rank_and_ratio(albanese_jacobian(ChartPoint(tuple(u)), h), tol)
-        if rank == dim:
-            full += 1
-        elif counterexample is None:
-            counterexample = [float(v) for v in u]
-        min_rank = min(min_rank, rank)
-        worst_ratio = min(worst_ratio, ratio)
+    for k0 in range(0, trials, _SCAN_BLOCK):
+        ks = range(k0, min(k0 + _SCAN_BLOCK, trials))
+        rngs = [np.random.default_rng([int(seed), k]) for k in ks]
+        U = np.array([draw(rng) for rng in rngs])
+        for row in np.flatnonzero(~accepted(U)):
+            for _ in range(reject_cap - 1):
+                U[row] = draw(rngs[row])
+                if accepted(U[row]):
+                    break
+            else:
+                raise SeamTooClose(
+                    f"trial {ks[row]}: no draw with seam margin above 10 h in {reject_cap} tries"
+                )
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
+        short = np.flatnonzero(rank < dim)
+        full += len(ks) - len(short)
+        if counterexample is None and len(short):
+            counterexample = [float(v) for v in U[short[0]]]
+        min_rank = min(min_rank, int(rank.min()))
+        worst_ratio = min(worst_ratio, float(ratio.min()))
     return {
         "n": n,
         "trials": trials,

@@ -235,6 +235,51 @@ def test_exit_code_rank_scan_reject_cap(capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("metric", "--chart", "0.3,0.5", "--h", "0"),
+        ("metric", "--chart", "0.3,0.5", "--h", "-1"),
+        ("metric", "--chart", "0.3,0.5", "--h", "nan"),
+        ("metric", "--chart", "0.3,0.5", "--h", "inf"),
+        ("rank-scan", "--h", "-1"),
+        ("rank-scan", "--h", "0"),
+        ("rank-scan", "--tol", "2"),
+        ("rank-scan", "--tol", "1"),
+        ("rank-scan", "--tol", "0"),
+        ("rank-scan", "--tol", "-0.5"),
+        ("curve-length", "--input", str(GOLDEN / "seam_path.csv"), "--h", "0"),
+    ],
+)
+def test_exit_code_bad_step_or_tolerance(argv, capsys):
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("treemoduli: ")
+
+
+def test_negative_numeric_tokens_are_values():
+    assert run_ok("metric", "--chart", "-0.3,0.5") == run_ok("metric", "--chart=-0.3,0.5")
+    assert json.loads(run_ok("metric", "--chart", "-0.3,0.5"))["chart"] == [-0.3, 0.5]
+    # (0, -1000; 1, 2) = 1000 * (1 - 2) / ((0 - 1) * (-1000 - 2))
+    assert float(run_ok("crossratio", "0", "-1e3", "1", "2")) == pytest.approx(-1000.0 / 1002.0)
+    assert run_ok("crossratio", "0", "-inf", "1", "2") == run_ok("crossratio", "0", "inf", "1", "2")
+    assert run_ok("kappa", "-.5") == run_ok("kappa", "-0.5")
+
+
+def test_input_file_is_closed():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            *("-W", "error::ResourceWarning", "-m", "treemoduli", "curve-length"),
+            *("--input", str(GOLDEN / "seam_path.csv")),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "curve_length_seam.txt").read_text()
+
+
 def test_help_exits_zero():
     code, _ = run("--help")
     assert code == 0

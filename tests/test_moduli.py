@@ -30,7 +30,14 @@ from treemoduli.moduli import (
     triple_coord,
     triples,
 )
-from treemoduli.moduli import _chart_ratios, _cover_values, _seam_margin, _triple_arrays
+from treemoduli.moduli import (
+    _central_jacobians,
+    _chart_ratios,
+    _cover_values,
+    _seam_margin,
+    _triple_arrays,
+    _wrap,
+)
 from treemoduli.projline import (
     INFINITY,
     ONE,
@@ -288,6 +295,43 @@ def test_jacobian_central_vs_analytic():
         assert np.allclose(fd, an, rtol=1e-5, atol=1e-8 * np.abs(an).max())
 
 
+def loop_jacobian(u, h=1e-6):
+    """Reference central differences: one chart, one coordinate at a time."""
+    trip, bk = _triple_arrays(u.n)
+    base = u.as_array()
+    jac = np.empty((len(trip), len(base)))
+    for m in range(len(base)):
+        up, dn = base.copy(), base.copy()
+        up[m] += h
+        dn[m] -= h
+        tp = _cover_values(_chart_ratios(up, trip, bk))
+        tm = _cover_values(_chart_ratios(dn, trip, bk))
+        jac[:, m] = _wrap(tp - tm) / (2.0 * h)
+    return jac
+
+
+def test_stacked_central_jacobians_match_per_chart_loop():
+    rng = np.random.default_rng(11)
+    for n in (4, 8, 12):
+        charts = [random_chart(rng, n) for _ in range(9)]
+        trip, bk = _triple_arrays(n)
+        stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, trip, bk)
+        assert stack.shape == (9, len(trip), n - 2)
+        for u, jac in zip(charts, stack):
+            ref = loop_jacobian(u)
+            assert np.array_equal(jac, ref)
+            assert np.array_equal(albanese_jacobian(u), ref)
+
+
+def test_triple_table_is_cached_and_read_only():
+    trip, bk = _triple_arrays(6)
+    assert _triple_arrays(6)[0] is trip
+    with pytest.raises(ValueError):
+        trip[0, 0] = 2
+    with pytest.raises(ValueError):
+        bk[0] = 2.0
+
+
 def test_jacobian_rank():
     assert jacobian_rank(np.array([[1.0]])) == 1
     assert jacobian_rank(np.zeros((4, 3))) == 0
@@ -455,6 +499,72 @@ def test_rank_scan_deterministic():
     assert a == b
     c = rank_scan(4, 25, seed=8)
     assert c != a
+
+
+def loop_rank_scan(n, trials, seed, h=1e-6, tol=1e-6):
+    """Reference scan: draw, Jacobian and SVD one trial at a time."""
+    trip, bk = _triple_arrays(n)
+    full, min_rank, worst, counterexample = 0, n - 2, math.inf, None
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        while True:
+            u = np.tan(np.pi * (rng.random(n - 2) + 0.25))
+            if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, bk)) > 10.0 * h:
+                break
+        jac = albanese_jacobian(ChartPoint(tuple(u)), h)
+        rank = jacobian_rank(jac, tol)
+        s = np.linalg.svd(jac, compute_uv=False)
+        full += rank == n - 2
+        if rank < n - 2 and counterexample is None:
+            counterexample = [float(v) for v in u]
+        min_rank = min(min_rank, rank)
+        worst = min(worst, float(s[-1] / s[0]))
+    return {
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "h": h,
+        "tol": tol,
+        "full_rank_count": full,
+        "min_rank": min_rank,
+        "worst_sigma_ratio": worst,
+        "counterexample": counterexample,
+    }
+
+
+@pytest.mark.parametrize("trials", [1, 33, 100])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rank_scan_matches_per_trial_loop(n, trials):
+    # trial counts that are not multiples of the block size
+    assert rank_scan(n, trials, seed=3) == loop_rank_scan(n, trials, 3)
+
+
+def test_rank_scan_counterexample_matches_per_trial_loop():
+    # a tolerance high enough that some charts count as rank-deficient
+    rep = rank_scan(6, 100, seed=5, tol=0.05)
+    assert rep["counterexample"] is not None
+    assert rep == loop_rank_scan(6, 100, 5, tol=0.05)
+
+
+def test_rank_scan_reject_cap_names_lowest_trial():
+    with pytest.raises(SeamTooClose, match=r"^trial 0:"):
+        rank_scan(4, 3, h=0.5)
+    with pytest.raises(ValueError):
+        rank_scan(4, 3, reject_cap=0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_step_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError):
+        albanese_jacobian(ChartPoint((0.3, 0.5)), h)
+    with pytest.raises(ValueError):
+        rank_scan(4, 5, h=h)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_rank_scan_tolerance_in_unit_interval(tol):
+    with pytest.raises(ValueError):
+        rank_scan(4, 5, tol=tol)
 
 
 def test_regauged_sigma_ratios_expose_chart_scaling():
