@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -27,7 +28,10 @@ class ParseError(ValueError):
 
 
 def parse_point(token: str) -> ProjPoint:
-    """Point from a decimal, the literal "inf", or an exact rational a/b."""
+    """Point from a decimal, the literal "inf", or an exact rational a/b.
+
+    A decimal out of the float range (1e400) is an error, not infinity.
+    """
     tok = token.strip()
     if tok.lower() in ("inf", "+inf", "-inf"):
         return INFINITY
@@ -35,12 +39,15 @@ def parse_point(token: str) -> ProjPoint:
         try:
             num, den = tok.split("/")
             return ProjPoint(float(int(num)), float(int(den)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational token {token!r}") from exc
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ParseError(f"bad rational token {tok!r}") from exc
     try:
-        return ProjPoint.from_affine(float(tok))
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"bad point token {token!r}") from exc
+        x = float(tok)
+    except ValueError as exc:
+        raise ParseError(f"bad point token {tok!r}") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"point token {tok!r} is not a finite number or inf")
+    return ProjPoint.from_affine(x)
 
 
 def _g12(x: float) -> str:

@@ -232,6 +232,23 @@ def _triple_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, bk
 
 
+@functools.lru_cache(maxsize=32)
+def _incidence(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Triples that contain each chart point, and where they hold it.
+
+    Row r of the (n - 2, K) index table lists, in triple order, the
+    K = C(n - 1, 2) triples that contain point r + 1, the point of chart
+    coordinate r; the (n - 2, K, 3) mask marks the slot holding it.  No
+    other triple ratio depends on that coordinate.  Cached and read-only.
+    """
+    t = _triple_arrays(n)[0]
+    pts = np.arange(1, n - 1)[:, None]
+    idx = np.array([np.flatnonzero((t == p).any(axis=1)) for p in pts[:, 0]])
+    moved = t[idx] == pts[:, :, None]
+    idx.flags.writeable = moved.flags.writeable = False
+    return idx, moved
+
+
 def _chart_pairs(u: np.ndarray, trip: np.ndarray, bk: np.ndarray):
     """Homogeneous pairs of (x_0, x_i, x_j, x_k) for every triple, on the last axis.
 
@@ -241,7 +258,7 @@ def _chart_pairs(u: np.ndarray, trip: np.ndarray, bk: np.ndarray):
     """
     lead = u.shape[:-1]
     a = np.concatenate([np.zeros(lead + (1,)), u, np.ones(lead + (2,))], axis=-1)
-    return 0.0, 1.0, a[..., trip[:, 0]], 1.0, a[..., trip[:, 1]], 1.0, a[..., trip[:, 2]], bk
+    return 0.0, 1.0, a[..., trip[..., 0]], 1.0, a[..., trip[..., 1]], 1.0, a[..., trip[..., 2]], bk
 
 
 def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -280,6 +297,17 @@ def _seam_margin(rho: np.ndarray) -> np.ndarray:
     return np.min(np.minimum(np.minimum(d0, d1), dinf), axis=-1)
 
 
+def _chart_margins(U: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Seam margin of each chart on the last axis of U; NaN where coordinates collide.
+
+    Colliding or huge coordinates make 0/0, x/0 and overflowing products,
+    so numpy's warnings are silenced: the caller refuses any margin that
+    is not above its bound, NaN included.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _seam_margin(_chart_ratios(U, trip, bk))
+
+
 def _wrap(d: np.ndarray) -> np.ndarray:
     return (d + 0.5) % 1.0 - 0.5
 
@@ -287,21 +315,42 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
     """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
 
-    Row r of the up and down stencils moves coordinate r by +h and -h, and
-    each stencil goes through the cover in one evaluation; every entry is
-    the same float operations as perturbing one chart and one coordinate
-    at a time.  Each difference is wrapped into the lift nearest the base
-    value.  The caller checks the seam margin.
+    Column r moves coordinate r by +h and -h and evaluates only the
+    C(n - 1, 2) triples that contain its point, all columns of all charts
+    in one cross-ratio and cover evaluation per sign.  Each entry is the
+    same float operations as perturbing one chart and one coordinate at a
+    time, and every other entry is an exact zero, as there.  Each
+    difference is wrapped into the lift nearest the base value.  The
+    caller checks the seam margin; InvalidChart if h is below the
+    resolution of some coordinate, so that u + h or u - h rounds to u.
     """
-    dim = U.shape[-1]
-    r = np.arange(dim)
-    up = np.repeat(U[:, None, :], dim, axis=1)
-    dn = up.copy()
-    up[:, r, r] += h
-    dn[:, r, r] -= h
-    tp = _cover_values(_chart_ratios(up, trip, bk))
-    tm = _cover_values(_chart_ratios(dn, trip, bk))
-    return np.ascontiguousarray((_wrap(tp - tm) / (2.0 * h)).transpose(0, 2, 1))
+    m, dim = U.shape
+    idx, moved = _incidence(dim + 2)
+    _, _, ai, _, aj, _, ak, bks = _chart_pairs(U, trip[idx], bk[idx])
+    t = []
+    for v in (U + h, U - h):
+        if (v == U).any():
+            c, r = np.argwhere(v == U)[0]
+            raise InvalidChart(
+                f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(U[c, r])!r}"
+            )
+        v = v[:, :, None]
+        num, den = _cross(
+            0.0, 1.0,
+            np.where(moved[..., 0], v, ai), 1.0,
+            np.where(moved[..., 1], v, aj), 1.0,
+            np.where(moved[..., 2], v, ak), bks,
+        )
+        t.append(_cover_values(num / den))
+    jac = np.zeros((m, len(trip), dim))
+    jac[:, idx, np.arange(dim)[:, None]] = _wrap(t[0] - t[1]) / (2.0 * h)
+    return jac
+
+
+def _pullback(jac: np.ndarray) -> np.ndarray:
+    """The averaged metric J^T J / T of one Jacobian, symmetrised."""
+    g = jac.T @ jac / float(len(jac))
+    return 0.5 * (g + g.T)
 
 
 # Trials per rank_scan block: about 1e4 stencil values at n = 8.  Larger
@@ -335,13 +384,13 @@ def albanese_jacobian(
     Raises SeamTooClose unless every triple ratio is more than 10 h
     (chordal) from a marked point, where the stencil could straddle a
     seam; colliding coordinates, whose ratios are 0/0 or infinite, are
-    refused as well.  Raises ValueError unless h is finite and positive.
+    refused as well.  Raises ValueError unless h is finite and positive,
+    and InvalidChart (central only) if u + h or u - h rounds back to u.
     """
     h = _check_step(h)
     trip, bk = _triple_arrays(u.n)
     base = u.as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = _seam_margin(_chart_ratios(base, trip, bk))
+    margin = _chart_margins(base, trip, bk)
     if not margin > 10.0 * h:
         raise SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
     dim = len(base)
@@ -358,10 +407,9 @@ def albanese_jacobian(
         grad = np.column_stack(
             [-b0 / d0i - bk / dik, bk / djk + b0 / d0j, bi / dik - bj / djk]
         ) * (kprime * num / den)[:, None]
-        cols = trip - 1  # point m is chart coordinate m - 1 for m <= n - 2
-        rows, slots = np.nonzero(cols < dim)
+        idx, moved = _incidence(u.n)
         jac = np.zeros((len(trip), dim))
-        jac[rows, cols[rows, slots]] = grad[rows, slots]
+        jac[idx, np.arange(dim)[:, None]] = grad[idx][moved].reshape(dim, -1)
         return jac
     raise ValueError(f"unknown method {method!r}")
 
@@ -393,9 +441,7 @@ def metric_matrix(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
     Exactly the average over triples of the squared coordinate
     differentials; symmetric positive semidefinite by construction.
     """
-    jac = albanese_jacobian(u, h)
-    g = jac.T @ jac / float(len(jac))
-    return 0.5 * (g + g.T)
+    return _pullback(albanese_jacobian(u, h))
 
 
 def metric_eval(u: ChartPoint, v, w, h: float = 1e-6) -> float:
@@ -424,20 +470,33 @@ def relabel(perm, c: Configuration) -> Configuration:
     return Configuration(tuple(pts))
 
 
+# T * dim stencil values per curve_length block: 1024 segment midpoints
+# at n = 4, one at n = 16.  Larger blocks hold more stencil memory at
+# once and save little time.
+_PATH_BUDGET = 8192
+
+
 def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     """Length of a piecewise linear chart path under the averaged metric.
 
     Composite rule: each segment contributes sqrt(du^T G(mid) du).
     Segments whose midpoint is too close to a seam are bisected; at the
     split-depth cap the metric is evaluated one-sidedly at the first
-    interior point of the piece with enough seam margin.
+    interior point of the piece with enough seam margin.  The midpoints
+    clear of seams are evaluated in blocks, one stencil per block, with
+    the same bits as one metric_matrix call each; the first failing
+    segment's error is raised.
     """
+    h = _check_step(h)
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
     if len(pts) < 2:
         raise ValueError("curve needs at least two samples")
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("samples must share one chart dimension")
+
+    def norm(du: np.ndarray, g: np.ndarray) -> float:
+        return math.sqrt(max(float(du @ g @ du), 0.0))
 
     def seg(a: np.ndarray, b: np.ndarray, depth: int) -> float:
         du = b - a
@@ -457,9 +516,30 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
                     continue
             else:
                 raise
-        return math.sqrt(max(float(du @ g @ du), 0.0))
+        return norm(du, g)
 
-    return sum(seg(pts[i], pts[i + 1], max_splits) for i in range(len(pts) - 1))
+    P = np.array(pts)
+    dim = P.shape[1]
+    block = max(1, _PATH_BUDGET // max(1, math.comb(dim + 2, 3) * dim))
+    lengths = []
+    for s0 in range(0, len(P) - 1, block):
+        end = min(s0 + block, len(P) - 1)
+        A, B = P[s0:end], P[s0 + 1:end + 1]
+        with np.errstate(over="ignore"):  # seg evaluates an overflowing segment again
+            DU = B - A
+            mid = 0.5 * (A + B)
+        clear = DU.any(axis=1) & np.isfinite(mid).all(axis=1)
+        if clear.any():
+            trip, bk = _triple_arrays(dim + 2)
+            clear &= _chart_margins(mid, trip, bk) > 10.0 * h
+        if clear.any():
+            try:
+                jacs = iter(_central_jacobians(mid[clear], h, trip, bk))
+            except InvalidChart:
+                clear[:] = False  # each segment raises its own error below, in path order
+        for a, b, du, ok in zip(A, B, DU, clear):
+            lengths.append(norm(du, _pullback(next(jacs))) if ok else seg(a, b, max_splits))
+    return sum(lengths)
 
 
 def regauged_sigma_ratios(u: ChartPoint, h: float = 1e-6) -> list[float]:
@@ -524,9 +604,7 @@ def rank_scan(
         return np.tan(np.pi * (rng.random(dim) + 0.25))
 
     def accepted(U: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            margin = _seam_margin(_chart_ratios(U, trip, bk))
-        return np.isfinite(U).all(axis=-1) & (margin > 10.0 * h)
+        return np.isfinite(U).all(axis=-1) & (_chart_margins(U, trip, bk) > 10.0 * h)
 
     full = 0
     min_rank = dim

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import treemoduli
 from treemoduli.cli import ParseError, main, parse_point
 from treemoduli.moduli import rank_scan
 
@@ -24,6 +26,14 @@ def run_ok(*argv):
     code, out = run(*argv)
     assert code == 0, out
     return out
+
+
+def run_child(*args, **kw):
+    """python *args in a child that imports the same treemoduli package as this process."""
+    env = dict(os.environ)
+    path = [str(Path(treemoduli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kw)
 
 
 # -- token parsing --------------------------------------------------------------
@@ -125,12 +135,7 @@ def test_rank_scan_determinism():
 def test_determinism_across_processes():
     args = ["rank-scan", "--n", "4", "--trials", "10", "--seed", "7"]
     inproc = run_ok(*args)
-    proc = subprocess.run(
-        [sys.executable, "-m", "treemoduli", *args],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_child("-m", "treemoduli", *args, check=True)
     assert proc.stdout == inproc
 
 
@@ -220,12 +225,28 @@ def test_exit_code_numerical_precondition():
 
 def test_exit_code_seam_collision_without_warnings(capsys):
     # coordinate 1 collides with the gauge point 1: some ratios are
-    # infinite and the seam margin is NaN, which must still be refused
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run("metric", "--chart", "1,0.5")
+    # infinite and the seam margin is NaN, which must still be refused;
+    # huge coordinates overflow the determinant products to the same end
+    for chart in ("1,0.5", "1e200,1e300,0.5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run("metric", "--chart", chart)
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("treemoduli: seam margin nan")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("metric", "--chart", "0.3,0.5", "--h", "1e-300"),
+        ("rank-scan", "--n", "4", "--trials", "5", "--h", "1e-300"),
+    ],
+)
+def test_exit_code_step_below_chart_resolution(argv, capsys):
+    # 0.3 + 1e-300 == 0.3: the stencil cannot move the chart
+    code, out = run(*argv)
     assert code == 3 and out == ""
-    assert capsys.readouterr().err.startswith("treemoduli: seam margin nan")
+    assert "does not move chart coordinate" in capsys.readouterr().err
 
 
 def test_exit_code_rank_scan_reject_cap(capsys):
@@ -257,6 +278,31 @@ def test_exit_code_bad_step_or_tolerance(argv, capsys):
     assert capsys.readouterr().err.startswith("treemoduli: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crossratio", "0", "1e400", "1", "2"),
+        ("kappa", "-1e400"),
+        ("cayley", "1e999"),
+        ("kappa", "nan"),
+        ("group", "add", "1/" + "9" * 400, "1"),
+    ],
+)
+def test_exit_code_out_of_range_decimal(argv, capsys):
+    # 1e400 overflows to float inf; only the literal inf is the point at infinity
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("treemoduli: ")
+
+
+@pytest.mark.parametrize("path", [GOLDEN / "seam_path.csv", None])
+def test_curve_length_step_checked_before_any_segment(path, tmp_path):
+    if path is None:  # zero-length segments only: no metric is evaluated
+        path = tmp_path / "still.csv"
+        path.write_text("0.3,0.5\n0.3,0.5\n")
+    assert run("curve-length", "--input", str(path), "--h", "-1") == (2, "")
+
+
 def test_negative_numeric_tokens_are_values():
     assert run_ok("metric", "--chart", "-0.3,0.5") == run_ok("metric", "--chart=-0.3,0.5")
     assert json.loads(run_ok("metric", "--chart", "-0.3,0.5"))["chart"] == [-0.3, 0.5]
@@ -267,14 +313,9 @@ def test_negative_numeric_tokens_are_values():
 
 
 def test_input_file_is_closed():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            *("-W", "error::ResourceWarning", "-m", "treemoduli", "curve-length"),
-            *("--input", str(GOLDEN / "seam_path.csv")),
-        ],
-        capture_output=True,
-        text=True,
+    proc = run_child(
+        *("-W", "error::ResourceWarning", "-m", "treemoduli", "curve-length"),
+        *("--input", str(GOLDEN / "seam_path.csv")),
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == (GOLDEN / "curve_length_seam.txt").read_text()

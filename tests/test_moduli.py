@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from treemoduli.moduli import (
     _central_jacobians,
     _chart_ratios,
     _cover_values,
+    _incidence,
     _seam_margin,
     _triple_arrays,
     _wrap,
@@ -44,8 +46,11 @@ from treemoduli.projline import (
     ZERO,
     MobiusMap,
     ProjPoint,
+    chordal,
     cross_ratio,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def pt(x):
@@ -312,15 +317,44 @@ def loop_jacobian(u, h=1e-6):
 
 def test_stacked_central_jacobians_match_per_chart_loop():
     rng = np.random.default_rng(11)
-    for n in (4, 8, 12):
+    for n in (4, 8, 12, 16):
         charts = [random_chart(rng, n) for _ in range(9)]
         trip, bk = _triple_arrays(n)
         stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, trip, bk)
         assert stack.shape == (9, len(trip), n - 2)
         for u, jac in zip(charts, stack):
             ref = loop_jacobian(u)
+            # the entries the sparse stencil skips are +0.0 in the dense loop
             assert np.array_equal(jac, ref)
+            assert np.array_equal(np.signbit(jac), np.signbit(ref))
             assert np.array_equal(albanese_jacobian(u), ref)
+
+
+def test_incidence_table_lists_the_triples_of_each_point():
+    for n in (3, 5, 9):
+        trip, _ = _triple_arrays(n)
+        idx, moved = _incidence(n)
+        assert _incidence(n)[0] is idx
+        assert idx.shape == (n - 2, math.comb(n - 1, 2))
+        for r in range(n - 2):
+            assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
+            assert np.array_equal(moved[r], trip[idx[r]] == r + 1)
+        assert (moved.sum(axis=-1) == 1).all()
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-20])
+def test_step_below_chart_resolution_is_refused(h):
+    # u + h rounds back to u: the stencil would be all zeros
+    with pytest.raises(InvalidChart, match="does not move chart coordinate 1 = 0.3"):
+        albanese_jacobian(ChartPoint((0.3, 0.5)), h)
+    with pytest.raises(InvalidChart):
+        rank_scan(4, 5, h=h)
+    with pytest.raises(InvalidChart):
+        curve_length([ChartPoint((0.3, 0.5)), ChartPoint((0.6, 0.5))], h)
+    # the analytic Jacobian takes no step
+    assert albanese_jacobian(ChartPoint((0.3, 0.5)), h, method="analytic").any()
 
 
 def test_triple_table_is_cached_and_read_only():
@@ -481,6 +515,147 @@ def test_curve_length_input_validation():
         curve_length([ChartPoint((0.5,))])
     with pytest.raises(DimensionMismatch):
         curve_length([ChartPoint((0.5,)), ChartPoint((0.5, 0.6))])
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, math.nan, math.inf])
+def test_curve_length_validates_step_up_front(h):
+    # a path of zero-length segments evaluates no metric at all
+    with pytest.raises(ValueError):
+        curve_length([[0.3, 0.5], [0.3, 0.5]], h=h)
+
+
+def loop_curve_length(samples, h=1e-6, max_splits=12):
+    """Reference: one recursive metric_matrix evaluation per segment, in path order."""
+    pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
+
+    def seg(a, b, depth):
+        du = b - a
+        if not du.any():
+            return 0.0
+        mid = 0.5 * (a + b)
+        try:
+            g = metric_matrix(ChartPoint(tuple(mid)), h)
+        except SeamTooClose:
+            if depth > 0:
+                return seg(a, mid, depth - 1) + seg(mid, b, depth - 1)
+            for f in (0.25, 0.75, 0.1, 0.9, 0.0, 1.0):
+                try:
+                    g = metric_matrix(ChartPoint(tuple(a + f * du)), h)
+                    break
+                except SeamTooClose:
+                    continue
+            else:
+                raise
+        return math.sqrt(max(float(du @ g @ du), 0.0))
+
+    return sum(seg(pts[i], pts[i + 1], max_splits) for i in range(len(pts) - 1))
+
+
+def seeded_path(rng, n, legs=6, per_leg=12):
+    """Chart path whose legs move one coordinate across 0, 1 and the others.
+
+    Each leg ends 0.05 away from every seam, and one segment of a leg
+    with crossings has its midpoint within 1e-6 of one, so curve_length
+    refuses and bisects it.
+    """
+    u = rng.choice(np.arange(-2.45, 3.5, 0.1), n - 2, replace=False)
+    rows = [u.copy()]
+    for _ in range(legs):
+        m = int(rng.integers(n - 2))
+        seams = np.array([0.0, 1.0, *np.delete(u, m)])
+        while True:
+            t = np.linspace(u[m], u[m] + rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0), per_leg + 1)
+            if np.abs(t[-1] - seams).min() > 0.05:
+                break
+        inner = seams[(seams - t[0]) * (seams - t[-1]) < 0]
+        if len(inner):
+            c = rng.choice(inner)
+            i = int((c - t[0]) / (t[1] - t[0]))
+            if 1 <= i <= per_leg - 2:
+                mid, half = c + rng.uniform(-1e-6, 1e-6), 0.5 * (t[1] - t[0])
+                t[i], t[i + 1] = mid - half, mid + half
+        for v in t[1:]:
+            u[m] = v
+            rows.append(u.copy())
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_blocked_curve_length_matches_per_segment_reference(n):
+    rng = np.random.default_rng([41, n])
+    for _ in range(3 if n < 16 else 1):
+        rows = seeded_path(rng, n)
+        assert curve_length(rows) == loop_curve_length(rows)
+        charts = [ChartPoint(tuple(r)) for r in rows]
+        assert curve_length(charts) == loop_curve_length(charts)
+
+
+def test_blocked_curve_length_matches_reference_on_special_paths():
+    seam = [
+        [float(v) for v in line.split(",")]
+        for line in (GOLDEN / "seam_path.csv").read_text().splitlines()[1:]
+        if line.strip()
+    ]
+    assert curve_length(seam) == loop_curve_length(seam)
+    # zero-length segments, between and around live ones
+    rows = [[0.2, 0.6], [0.2, 0.6], [0.3, 0.6], [0.3, 0.6], [0.3, 0.6], [0.3, 0.7], [0.3, 0.7]]
+    assert curve_length(rows) == loop_curve_length(rows) > 0.0
+    # a crossing at a segment midpoint with no splits left: one-sided fallback
+    cross = [[0.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.5]]
+    for splits in (0, 1, 2):
+        assert curve_length(cross, max_splits=splits) == loop_curve_length(cross, max_splits=splits)
+    # three blocks at n = 4, the last one short
+    line = [[0.3 + 0.4 * k / 2500, 2.0 - k / 2500] for k in range(2501)]
+    assert curve_length(line) == loop_curve_length(line)
+
+
+def seam_margin_homogeneous(u):
+    """Smallest chordal distance from a triple cross-ratio to 0, 1 and infinity, on ProjPoints."""
+    c = chart_embed(ChartPoint(tuple(u)))
+    return min(
+        min(chordal(rho, ZERO), chordal(rho, ONE), chordal(rho, INFINITY))
+        for rho in (cross_ratio(*forgetful(c, s)) for s in triples(c.n))
+    )
+
+
+def test_curve_length_stencils_keep_clear_of_seams(monkeypatch):
+    import treemoduli.moduli as mod
+
+    charts = []
+    stencil = mod._central_jacobians
+
+    def recording(U, h, trip, bk):
+        charts.extend(map(tuple, U))
+        return stencil(U, h, trip, bk)
+
+    monkeypatch.setattr(mod, "_central_jacobians", recording)
+    rng = np.random.default_rng(43)
+    rows = seeded_path(rng, 5, legs=8)
+    curve_length(rows)
+    curve_length([[0.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.0]], max_splits=0)
+    assert len(charts) > len(rows)  # bisections and the fallback add charts
+    assert min(seam_margin_homogeneous(u) for u in charts) > 1e-5
+
+
+def test_curve_length_raises_the_first_failing_segment():
+    # With h = 1e-300 every stencil fails.  Segment 0 has its midpoint on
+    # the gauge point 1 and fails in its first bisection half, before the
+    # block stencil of segment 1 is reached in path order.
+    rows = [[0.9, 0.5], [1.1, 0.5], [2.0, 3.0]]
+    with pytest.raises(InvalidChart) as ref:
+        loop_curve_length(rows, h=1e-300)
+    with pytest.raises(InvalidChart) as got:
+        curve_length(rows, h=1e-300)
+    assert str(got.value) == str(ref.value)
+    assert "coordinate 1 = 0.95" in str(got.value)
+    # a later non-finite midpoint does not mask an earlier failed fallback
+    rows = [[1.0 - 1e-7, 2.0], [1.0 + 1e-7, 2.0], [1e308, 2.0], [1.7e308, 2.0]]
+    with pytest.raises(SeamTooClose):
+        loop_curve_length(rows, max_splits=0)
+    with np.errstate(over="ignore"), pytest.raises(SeamTooClose):
+        curve_length(rows, max_splits=0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidChart, match="finite"):
+        curve_length(rows[2:])
 
 
 # -- rank scan ----------------------------------------------------------------------------
