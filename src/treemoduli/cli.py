@@ -94,14 +94,11 @@ def _read_config(path: str) -> dict:
 
 
 def _setting(args, name: str, cast, default):
+    """A flag's value, else the --config file's, else default."""
     value = getattr(args, name, None)
-    if value is not None:
-        return cast(value)
-    if args.config:
-        cfg = _read_config(args.config)
-        if name in cfg:
-            return cast(cfg[name])
-    return default
+    if value is None:
+        value = args.settings.get(name)
+    return default if value is None else cast(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,6 +176,16 @@ def _load_configuration(args) -> moduli.Configuration:
     raise ParseError("albanese needs --points or --input")
 
 
+def _parse_chart(text: str) -> moduli.ChartPoint:
+    """Chart from comma-separated decimals; ParseError if one is not finite (1e400, nan, inf)."""
+    tokens = text.split(",")
+    u = tuple(float(v) for v in tokens)
+    for tok, v in zip(tokens, u):
+        if not math.isfinite(v):
+            raise ParseError(f"chart token {tok.strip()!r} is not a finite number")
+    return moduli.ChartPoint(u)
+
+
 def _read_chart_rows(args) -> list[moduli.ChartPoint]:
     if not getattr(args, "input", None):
         raise ParseError("curve-length needs --input PATH or --input -")
@@ -193,7 +200,9 @@ def _read_chart_rows(args) -> list[moduli.ChartPoint]:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(moduli.ChartPoint(tuple(float(v) for v in line.split(","))))
+            rows.append(_parse_chart(line))
+        except ParseError:
+            raise
         except ValueError:
             if not rows:  # tolerate one header row
                 continue
@@ -260,7 +269,7 @@ def _dispatch(args, out) -> None:
 
     elif args.cmd == "metric":
         h = _setting(args, "h", float, 1e-6)
-        chart = moduli.ChartPoint(tuple(float(v) for v in args.chart.split(",")))
+        chart = _parse_chart(args.chart)
         g = moduli.metric_matrix(chart, h)
         out.write(
             _emit_json(
@@ -295,20 +304,14 @@ def _dispatch(args, out) -> None:
                 glabel = "inf" if fig.gamma.is_infinite else _g12(fig.gamma.affine)
                 out.write(f"# internal_edge_length={glabel}\n")
                 out.write(plots.arcs_csv(fig.arcs))
-        elif args.plotcmd == "helix":
-            samples = plots.helix_samples(_setting(args, "k", int, 256))
-            out.write(
-                plots.helix_csv(samples)
-                if (fmt or "csv") == "csv"
-                else plots.helix_svg(samples)
-            )
         else:
-            samples = plots.graph_samples(_setting(args, "k", int, 256))
-            out.write(
-                plots.graph_csv(samples)
-                if (fmt or "csv") == "csv"
-                else plots.graph_svg(samples)
+            sample, csv, svg = (
+                (plots.helix_samples, plots.helix_csv, plots.helix_svg)
+                if args.plotcmd == "helix"
+                else (plots.graph_samples, plots.graph_csv, plots.graph_svg)
             )
+            samples = sample(_setting(args, "k", int, 256))
+            out.write(csv(samples) if (fmt or "csv") == "csv" else svg(samples))
 
 
 # A minus sign followed by a digit, a point or "inf" starts a number (or a
@@ -334,6 +337,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        args.settings = _read_config(args.config) if args.config else {}
         _dispatch(args, out)
     except ArithmeticError as exc:
         print(f"treemoduli: {exc}", file=sys.stderr)

@@ -470,9 +470,9 @@ def relabel(perm, c: Configuration) -> Configuration:
     return Configuration(tuple(pts))
 
 
-# T * dim stencil values per curve_length block: 1024 segment midpoints
-# at n = 4, one at n = 16.  Larger blocks hold more stencil memory at
-# once and save little time.
+# T * dim stencil values per curve_length block: 1024 charts at n = 4,
+# one at n = 16.  Larger blocks hold more stencil memory at once and save
+# little time.
 _PATH_BUDGET = 8192
 
 
@@ -481,11 +481,13 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
 
     Composite rule: each segment contributes sqrt(du^T G(mid) du).
     Segments whose midpoint is too close to a seam are bisected; at the
-    split-depth cap the metric is evaluated one-sidedly at the first
-    interior point of the piece with enough seam margin.  The midpoints
-    clear of seams are evaluated in blocks, one stencil per block, with
-    the same bits as one metric_matrix call each; the first failing
-    segment's error is raised.
+    split-depth cap the metric is evaluated one-sidedly at the first of
+    the points 1/4, 3/4, 1/10, 9/10, 0 and 1 of the way along the piece
+    with enough seam margin, or else the midpoint's SeamTooClose stands.  An InvalidChart is never bisected.
+    The pieces of one split depth, and then the fallback points at the
+    cap, are evaluated together in blocks, one seam check and one stencil
+    per block, with the same bits as one metric_matrix call each.  The
+    first failing piece in path order raises its error.
     """
     h = _check_step(h)
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
@@ -494,52 +496,69 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("samples must share one chart dimension")
-
-    def norm(du: np.ndarray, g: np.ndarray) -> float:
-        return math.sqrt(max(float(du @ g @ du), 0.0))
-
-    def seg(a: np.ndarray, b: np.ndarray, depth: int) -> float:
-        du = b - a
-        if not du.any():
-            return 0.0
-        mid = 0.5 * (a + b)
-        try:
-            g = metric_matrix(ChartPoint(tuple(mid)), h)
-        except SeamTooClose:
-            if depth > 0:
-                return seg(a, mid, depth - 1) + seg(mid, b, depth - 1)
-            for f in (0.25, 0.75, 0.1, 0.9, 0.0, 1.0):
-                try:
-                    g = metric_matrix(ChartPoint(tuple(a + f * du)), h)
-                    break
-                except SeamTooClose:
-                    continue
-            else:
-                raise
-        return norm(du, g)
-
     P = np.array(pts)
     dim = P.shape[1]
     block = max(1, _PATH_BUDGET // max(1, math.comb(dim + 2, 3) * dim))
-    lengths = []
-    for s0 in range(0, len(P) - 1, block):
-        end = min(s0 + block, len(P) - 1)
-        A, B = P[s0:end], P[s0 + 1:end + 1]
-        with np.errstate(over="ignore"):  # seg evaluates an overflowing segment again
-            DU = B - A
-            mid = 0.5 * (A + B)
-        clear = DU.any(axis=1) & np.isfinite(mid).all(axis=1)
-        if clear.any():
+
+    def first_error(values):
+        return next((v for v in values if isinstance(v, ArithmeticError)), None)
+
+    def metrics(U: np.ndarray) -> list:
+        """What metric_matrix gives at each row of U: the matrix, or the error it raises."""
+        out = [None] * len(U)
+        for s in range(0, len(U), block):
             trip, bk = _triple_arrays(dim + 2)
-            clear &= _chart_margins(mid, trip, bk) > 10.0 * h
-        if clear.any():
+            V = U[s:s + block]
+            ok = np.flatnonzero(np.isfinite(V).all(axis=1) & (_chart_margins(V, trip, bk) > 10.0 * h))
             try:
-                jacs = iter(_central_jacobians(mid[clear], h, trip, bk))
+                for i, jac in zip(s + ok, _central_jacobians(V[ok], h, trip, bk)):
+                    out[i] = _pullback(jac)
             except InvalidChart:
-                clear[:] = False  # each segment raises its own error below, in path order
-        for a, b, du, ok in zip(A, B, DU, clear):
-            lengths.append(norm(du, _pullback(next(jacs))) if ok else seg(a, b, max_splits))
-    return sum(lengths)
+                pass  # each row of this block is evaluated alone below
+        for i in [i for i, g in enumerate(out) if g is None]:
+            try:
+                out[i] = metric_matrix(ChartPoint(tuple(U[i])), h)
+            except (SeamTooClose, InvalidChart) as err:
+                out[i] = err.with_traceback(None)  # kept as a value: no cycle through this frame
+        return out
+
+    def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> list:
+        """Length or error of each piece A[i] -> B[i], in path order, a block at a time."""
+        out = []
+        for s in range(0, len(A), block):
+            a, b = A[s:s + block], B[s:s + block]
+            du, mid = b - a, 0.5 * (a + b)
+            live = np.flatnonzero(du.any(axis=1))
+            got = [0.0] * len(a)
+            for i, g in zip(live, metrics(mid[live])):
+                got[i] = g
+            cut = [i for i in live if isinstance(got[i], SeamTooClose)]
+            if cut and depth > 0:
+                ends = np.stack([a[cut], mid[cut], b[cut]], axis=1)  # halves in path order
+                halves = lengths(ends[:, :2].reshape(-1, dim), ends[:, 1:].reshape(-1, dim), depth - 1)
+                for i, lo, hi in zip(cut, halves[::2], halves[1::2]):
+                    got[i] = first_error((lo, hi)) or lo + hi
+            elif cut:
+                f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # tried in this order
+                k = len(f)
+                gs = metrics((a[cut, None] + f[:, None] * du[cut, None]).reshape(-1, dim))
+                for j, i in enumerate(cut):
+                    tried = (g for g in gs[k * j:k * j + k] if not isinstance(g, SeamTooClose))
+                    got[i] = next(tried, got[i])
+            out += [
+                math.sqrt(max(float(d @ g @ d), 0.0)) if isinstance(g, np.ndarray) else g
+                for d, g in zip(du, got)
+            ]
+            err = first_error(out[s:])
+            if err:
+                return out + [err] * (len(A) - len(out))  # no later piece can fail first
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):  # huge charts overflow du, mid and du^T G du
+        out = lengths(P[:-1], P[1:], max_splits)
+    if first_error(out):
+        raise first_error(out)
+    return sum(out)
 
 
 def regauged_sigma_ratios(u: ChartPoint, h: float = 1e-6) -> list[float]:

@@ -9,7 +9,9 @@ quantity.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cover import CirclePoint, circle_cover, circle_distance, devadoss_length
@@ -135,34 +137,28 @@ def tree3_figure(
     )
 
 
+def _loop(k: int) -> Iterator[tuple[float, ProjPoint]]:
+    """k pairs (s, x) with x = tan(pi s) on the uniform grid over one loop, s in [-1/2, 1/2]."""
+    k = int(k)
+    if k < 2:
+        raise ValueError("need at least two samples")
+    for j in range(k):
+        s = -0.5 + j / (k - 1)
+        yield s, stereo_param(s - 0.25)
+
+
 def helix_samples(k: int) -> list[tuple[CirclePoint, CirclePoint]]:
     """k samples of (circle angle of x, cover value of x) along one loop.
 
     The first coordinate winds once around the circle, the second three
     times; the endpoints of the list agree modulo 1 in both coordinates.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError("need at least two samples")
-    out = []
-    for j in range(k):
-        s = -0.5 + j / (k - 1)
-        x = stereo_param(s - 0.25)
-        out.append((CirclePoint(_angle(cayley(x))), circle_cover(x)))
-    return out
+    return [(CirclePoint(_angle(cayley(x))), circle_cover(x)) for _s, x in _loop(k)]
 
 
 def graph_samples(k: int) -> list[tuple[float, ProjPoint, CirclePoint]]:
     """k samples (s, x, cover value) with x = tan(pi s) over one loop."""
-    k = int(k)
-    if k < 2:
-        raise ValueError("need at least two samples")
-    out = []
-    for j in range(k):
-        s = -0.5 + j / (k - 1)
-        x = stereo_param(s - 0.25)
-        out.append((s, x, circle_cover(x)))
-    return out
+    return [(s, x, circle_cover(x)) for s, x in _loop(k)]
 
 
 # -- text emitters ---------------------------------------------------------
@@ -207,14 +203,14 @@ def _to_px(p: tuple[float, float]) -> tuple[float, float]:
     )
 
 
-def _svg_header() -> str:
+def _svg(body: str) -> str:
+    """SVG 1.1 document of SVG_SIZE square holding the given elements."""
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
-        f'<circle cx="{SVG_SIZE / 2:.9g}" cy="{SVG_SIZE / 2:.9g}" '
-        f'r="{SVG_RADIUS}" fill="none" stroke="black"/>\n'
+        f"{body}</svg>\n"
     )
 
 
@@ -240,7 +236,10 @@ def _arc_path(a: ArcDescriptor) -> str:
 
 def disk_svg(fig: Tree3Figure) -> str:
     """SVG 1.1 document for a three-leaf tree figure."""
-    parts = [_svg_header()]
+    parts = [
+        f'<circle cx="{SVG_SIZE / 2:.9g}" cy="{SVG_SIZE / 2:.9g}" '
+        f'r="{SVG_RADIUS}" fill="none" stroke="black"/>\n'
+    ]
     for a in fig.arcs:
         parts.append(_arc_path(a) + "\n")
     if fig.internal_edge is not None:
@@ -261,56 +260,25 @@ def disk_svg(fig: Tree3Figure) -> str:
         f'<text x="20" y="40" font-size="28" font-family="monospace">'
         f"internal edge length = {glabel}{flag}</text>\n"
     )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    return _svg("".join(parts))
 
 
-def _torus_polyline(points: list[tuple[float, float]]) -> str:
-    """Polyline segments in the unit square, split at wraps."""
-    out = []
-    run: list[str] = []
-    prev = None
-    for p in points:
-        px = (20 + 960 * p[0], 980 - 960 * p[1])
-        if prev is not None and (
-            abs(p[0] - prev[0]) > 0.5 or abs(p[1] - prev[1]) > 0.5
-        ):
-            if len(run) > 1:
-                out.append(
-                    f'<polyline points="{" ".join(run)}" '
-                    'stroke="black" fill="none"/>'
-                )
-            run = []
-        run.append(f"{px[0]:.9g},{px[1]:.9g}")
-        prev = p
-    if len(run) > 1:
-        out.append(f'<polyline points="{" ".join(run)}" stroke="black" fill="none"/>')
-    return "\n".join(out)
+def _torus_svg(points: list[tuple[float, float]]) -> str:
+    """SVG chart of points in the unit square of the torus, polylines split at wraps."""
+    pairs = enumerate(itertools.pairwise(points), start=1)
+    wraps = [j for j, (p, q) in pairs if abs(q[0] - p[0]) > 0.5 or abs(q[1] - p[1]) > 0.5]
+    runs = [points[a:b] for a, b in zip([0, *wraps], [*wraps, len(points)]) if b - a > 1]
+    xys = (" ".join(f"{20 + 960 * x:.9g},{980 - 960 * y:.9g}" for x, y in run) for run in runs)
+    polylines = (f'<polyline points="{xy}" stroke="black" fill="none"/>' for xy in xys)
+    rect = '<rect x="20" y="20" width="960" height="960" fill="none" stroke="black"/>\n'
+    return _svg(rect + "\n".join(polylines) + "\n")
 
 
 def helix_svg(samples) -> str:
     """SVG chart of the helix in the unit square of the torus."""
-    pts = [(s.t, t.t) for s, t in samples]
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
-        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
-        '<rect x="20" y="20" width="960" height="960" fill="none" stroke="black"/>\n'
-        + _torus_polyline(pts)
-        + "\n</svg>\n"
-    )
+    return _torus_svg([(s.t, t.t) for s, t in samples])
 
 
 def graph_svg(samples) -> str:
     """SVG chart of the cover value against the loop parameter."""
-    pts = [((s + 0.5), t.t) for s, _x, t in samples]
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
-        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
-        '<rect x="20" y="20" width="960" height="960" fill="none" stroke="black"/>\n'
-        + _torus_polyline(pts)
-        + "\n</svg>\n"
-    )
+    return _torus_svg([((s + 0.5), t.t) for s, _x, t in samples])

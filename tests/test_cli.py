@@ -180,6 +180,19 @@ def test_config_file_defaults_and_override(tmp_path):
     assert overridden != via_file
 
 
+def test_config_file_is_read_once(tmp_path, monkeypatch):
+    import treemoduli.cli as cli
+
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("seed=7\ntrials=10\nn=4\n")
+    reads = []
+    read = cli._read_config
+    monkeypatch.setattr(cli, "_read_config", lambda path: reads.append(path) or read(path))
+    via_file = run_ok("rank-scan", "--config", str(cfg))
+    assert via_file == run_ok("rank-scan", "--n", "4", "--trials", "10", "--seed", "7")
+    assert reads == [str(cfg)]  # once, not once per setting
+
+
 # -- plots -------------------------------------------------------------------------------
 
 
@@ -293,6 +306,44 @@ def test_exit_code_out_of_range_decimal(argv, capsys):
     code, out = run(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("treemoduli: ")
+
+
+@pytest.mark.parametrize(
+    "cmd, arg",
+    [
+        ("metric", "1e400,0.5"),
+        ("metric", "nan,0.5"),
+        ("metric", "0.3,-inf"),
+        ("curve-length", "1e400,2\n0.3,2\n"),  # a first row of numbers is no header
+        ("curve-length", "u1,u2\n0.3,2\nnan,2\n"),
+        ("curve-length", "0.3,2\ninf,2\n"),
+    ],
+)
+def test_exit_code_non_finite_chart_token(cmd, arg, tmp_path, capsys):
+    if cmd == "metric":
+        argv = (cmd, "--chart", arg)
+    else:
+        path = tmp_path / "rows.csv"
+        path.write_text(arg)
+        argv = (cmd, "--input", str(path))
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["1e308,2\n1.7e308,2\n", "-1.7e308,2\n1.7e308,2\n", "0.3,2\n1e300,2\n"],
+)
+def test_curve_length_overflow_reports_one_line(rows, tmp_path, capsys):
+    # midpoints, steps and du^T G du overflow; only the typed error is printed
+    path = tmp_path / "huge.csv"
+    path.write_text(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run("curve-length", "--input", str(path))
+    assert code == 3 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("path", [GOLDEN / "seam_path.csv", None])

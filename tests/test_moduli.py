@@ -658,6 +658,68 @@ def test_curve_length_raises_the_first_failing_segment():
         curve_length(rows[2:])
 
 
+# Seam values of a chart coordinate (the gauge points 0 and 1 and just off
+# them) and extreme ones whose midpoints and steps overflow.
+SEAM_AND_EXTREME = [0.0, 1.0, 1e-7, -1e-7, 1.0 + 1e-7, 1.0 - 1e-7, 1e300, -1e300, 1.7e308, -1.7e308]
+
+
+def length_or_error(f, rows, **kw):
+    try:
+        return f(rows, **kw)
+    except (SeamTooClose, InvalidChart) as err:
+        return type(err), str(err)
+
+
+def test_curve_length_matches_reference_at_seams_and_extremes():
+    # Value, or error type and message, of the level-by-level evaluation
+    # against the recursive reference, on short paths that mix seam and
+    # extreme coordinates with ordinary ones.  The reference overflows
+    # with numpy warnings; curve_length must not warn.
+    rng = np.random.default_rng(53)
+    for _ in range(800):
+        shape = (int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+        special = rng.choice(SEAM_AND_EXTREME, shape)
+        rows = np.where(rng.random(shape) < 0.6, special, rng.uniform(-3, 3, shape))
+        kw = {"max_splits": int(rng.choice([0, 1, 3])), "h": float(rng.choice([1e-6, 1e-300]))}
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = length_or_error(loop_curve_length, rows.tolist(), **kw)
+        got = length_or_error(curve_length, rows.tolist(), **kw)
+        assert got == ref or got != got and ref != ref, (rows.tolist(), kw)
+
+
+def test_curve_length_raises_the_midpoint_error_when_every_fallback_is_refused():
+    # One split: the piece from 0.3 falls back to 0.3 itself, and every
+    # point of the piece [5e299, 1e300] is refused.  Its midpoint 7.5e299
+    # has margin 1/7.5e299; the last fallback point, 1e300, has 1e-300.
+    rows = [[0.3, 2.0], [1e300, 2.0]]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeamTooClose) as ref:
+        loop_curve_length(rows, max_splits=1)
+    with pytest.raises(SeamTooClose) as got:
+        curve_length(rows, max_splits=1)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("seam margin 1.333e-300 ")
+
+
+def test_curve_length_along_a_seam_stops_after_the_first_failing_block(monkeypatch):
+    # Every point of this n = 6 path has u_1 = u_2, so each piece is refused
+    # down to the split cap and fails there.  Pieces are taken in path order
+    # a block (102 charts at n = 6) at a time, and the work stops after the
+    # first failing block of each depth instead of bisecting all 20
+    # segments 8 times (about 41000 refused charts).
+    import treemoduli.moduli as mod
+
+    rows = [[0.3 + 0.01 * k, 0.3 + 0.01 * k, 2.5, 3.5] for k in range(21)]
+    with pytest.raises(SeamTooClose) as ref:
+        loop_curve_length(rows, max_splits=8)
+    refused = []
+    metric = mod.metric_matrix
+    monkeypatch.setattr(mod, "metric_matrix", lambda u, h: refused.append(u) or metric(u, h))
+    with pytest.raises(SeamTooClose) as got:
+        curve_length(rows, max_splits=8)
+    assert str(got.value) == str(ref.value)
+    assert len(refused) < 3000  # 140 pieces, 6 blocks of 102 and 6 * 102 fallback points
+
+
 # -- rank scan ----------------------------------------------------------------------------
 
 
