@@ -15,8 +15,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import cover, moduli, plots, tangent
 from .projline import INFINITY, ProjPoint, cross_ratio
 
@@ -58,7 +56,7 @@ def fmt_point(p: ProjPoint) -> str:
     if p.is_infinite:
         return "inf"
     x = p.affine
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return f"{_g12(p.a)}/{_g12(p.b)}"
     return _g12(x)
 
@@ -70,10 +68,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(_g12(float(obj)))
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 
@@ -186,6 +180,14 @@ def _parse_chart(text: str) -> moduli.ChartPoint:
     return moduli.ChartPoint(u)
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_chart_rows(args) -> list[moduli.ChartPoint]:
     if not getattr(args, "input", None):
         raise ParseError("curve-length needs --input PATH or --input -")
@@ -194,18 +196,19 @@ def _read_chart_rows(args) -> list[moduli.ChartPoint]:
     else:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    # One header row is skipped: a first row none of whose fields is a number.
+    # Any separator splits fields here, so "0.3;0.5" is a bad data row, not a header.
+    if lines and not any(map(_is_number, re.split(r"[^\w.]+", lines[0]))):
+        lines = lines[1:]
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         try:
             rows.append(_parse_chart(line))
         except ParseError:
             raise
         except ValueError:
-            if not rows:  # tolerate one header row
-                continue
             raise ParseError(f"bad chart row {line!r}") from None
     return rows
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .projline import (
     INFINITY,
     ONE,
@@ -150,7 +148,9 @@ def cover_integral(order: int = 64) -> float:
     negative branch by x = 1 - 1/u and the upper branch by x = 1/(1-u),
     leaving three bounded Gauss-Legendre quadratures.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     total = 0.0

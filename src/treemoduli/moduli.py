@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .cover import CirclePoint, circle_cover, cover_derivative
 from .projline import (
     INFINITY,
@@ -34,6 +32,21 @@ from .projline import (
     cross_ratio,
     frame_map,
 )
+
+
+class _LazyNumpy:
+    """numpy until first use: the first lookup imports it and rebinds the global np to it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
+
 
 __all__ = [
     "Configuration",
@@ -122,9 +135,17 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
-        pts = tuple(ProjPoint.from_json(v) for v in obj["points"])
+        """Configuration from {"points": [point forms], "n": int}; ValueError on any other shape."""
+        points = obj.get("points") if isinstance(obj, dict) else None
+        if not isinstance(points, list):
+            raise ValueError('configuration JSON must be {"points": [point forms], "n": int}')
+        try:
+            pts = tuple(ProjPoint.from_json(v) for v in points)
+            n = int(obj.get("n", len(pts) - 1))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad configuration JSON: {exc}") from None
         cfg = cls(pts)
-        if "n" in obj and int(obj["n"]) != cfg.n:
+        if n != cfg.n:
             raise ValueError(f"n = {obj['n']} does not match {len(pts)} points")
         return cfg
 

@@ -227,6 +227,36 @@ def test_exit_code_input_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"points": [0, 1, null, 2, "inf"]}',
+        '{"points": 5}',
+        "[0,1,2,3]",
+        '{"points": [0,1,2,3,"inf"], "n": null}',
+        '{"points": [0, 1, 2, 1%s]}' % ("0" * 400),  # an integer beyond the float range
+    ],
+    ids=["null-point", "points-not-a-list", "not-an-object", "null-n", "huge-integer"],
+)
+@pytest.mark.parametrize("source", ["--points", "--input"])
+def test_exit_code_albanese_json_shape(text, source, tmp_path, capsys):
+    if source == "--input":
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        text = str(path)
+    code, out = run("albanese", source, text)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("treemoduli: ")
+
+
+def test_curve_length_malformed_first_row_is_no_header(tmp_path, capsys):
+    # only a first row none of whose fields is a number is a header
+    path = tmp_path / "rows.csv"
+    path.write_text("0.3;0.5\n0.6,0.5\n0.9,0.5\n")
+    assert run("curve-length", "--input", str(path)) == (2, "")
+    assert "bad chart row '0.3;0.5'" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_precondition():
     code, _ = run("metric", "--chart", "0.5,0.500000001")
     assert code == 3
@@ -370,6 +400,35 @@ def test_input_file_is_closed():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == (GOLDEN / "curve_length_seam.txt").read_text()
+
+
+NUMPY_FREE = [
+    ("crossratio", "0", "0.5", "1", "inf"),
+    ("kappa", "0.3"),
+    ("group", "add", "0.5", "2"),
+    ("albanese", "--points", json.dumps({"n": 4, "points": [0, 0.3, [1, 3], 1, "inf"]})),
+    ("plot", "helix", "--format", "svg", "--k", "64"),
+    ("plot", "kappa-graph", "--k", "64"),
+]
+
+# Imports the CLI, then makes numpy unimportable and runs each argv through main().
+NUMPY_FREE_CHILD = """
+import io, json, sys
+import treemoduli.cli
+assert "numpy" not in sys.modules, "import treemoduli.cli loaded numpy"
+sys.modules["numpy"] = None
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    results.append([treemoduli.cli.main(argv, out=buf), buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_exact_commands_never_import_numpy():
+    proc = run_child("-c", NUMPY_FREE_CHILD, json.dumps(NUMPY_FREE))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, run_ok(*argv)] for argv in NUMPY_FREE]
 
 
 def test_help_exits_zero():

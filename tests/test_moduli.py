@@ -366,6 +366,14 @@ def test_triple_table_is_cached_and_read_only():
         bk[0] = 2.0
 
 
+def test_numpy_stand_in_is_replaced_on_first_use():
+    # the stencil and SVD loops then look up numpy itself, through no proxy
+    import treemoduli.moduli
+
+    metric_matrix(ChartPoint((0.3, 0.5)))
+    assert treemoduli.moduli.np is np
+
+
 def test_jacobian_rank():
     assert jacobian_rank(np.array([[1.0]])) == 1
     assert jacobian_rank(np.zeros((4, 3))) == 0
