@@ -62,12 +62,13 @@ def fmt_point(p: ProjPoint) -> str:
 
 
 def _round12(obj):
-    if isinstance(obj, float):
-        return float(_g12(obj))
+    """obj with its floats rounded to 12 digits; calls itself on containers only, so ints cost no call."""
+    if isinstance(obj, (list, tuple)):
+        return [float(_g12(v)) if isinstance(v, float) else v if isinstance(v, int) else _round12(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
+    if isinstance(obj, float):
+        return float(_g12(obj))
     return obj
 
 
@@ -258,17 +259,8 @@ def _dispatch(args, out) -> None:
     elif args.cmd == "albanese":
         cfg = _load_configuration(args)
         values = [t.t for t in moduli.albanese(cfg)]
-        out.write(
-            _emit_json(
-                {
-                    "n": cfg.n,
-                    "points": [p.to_json() for p in cfg.points],
-                    "triples": [list(s) for s in moduli.triples(cfg.n)],
-                    "values": values,
-                }
-            )
-            + "\n"
-        )
+        doc = {**cfg.to_json(), "triples": moduli.triples(cfg.n), "values": values}
+        out.write(_emit_json(doc) + "\n")
 
     elif args.cmd == "metric":
         h = _setting(args, "h", float, 1e-6)

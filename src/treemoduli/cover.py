@@ -56,8 +56,9 @@ class CirclePoint:
 
     t: float
 
-    def __post_init__(self):
-        r = self.t % 1.0
+    def __init__(self, t: float):
+        # not __post_init__: one store per point, and the exact path builds one per value
+        r = t % 1.0
         if r >= 1.0:  # t % 1.0 can round up to 1.0 for tiny negative t
             r = 0.0
         object.__setattr__(self, "t", r)
@@ -87,8 +88,8 @@ class Interval(Enum):
         return self in (Interval.ZERO, Interval.ONE, Interval.INFINITY)
 
 
-def _branch(p: ProjPoint) -> tuple[Interval, float, float, float]:
-    """Exact interval tag and cover value num/den of a point, with rest = den - num.
+def _branch(a: float, b: float) -> tuple[Interval, float, float, float]:
+    """Exact interval tag and cover value num/den of a canonical pair, with rest = den - num.
 
     The branch values are b/(b-a), a/b and (a-b)/a on (-inf, 0), (0, 1)
     and (1, inf); rest is formed from the pair directly (-a, b - a and b),
@@ -96,7 +97,6 @@ def _branch(p: ProjPoint) -> tuple[Interval, float, float, float]:
     homogeneous pair (the stored b is nonnegative), and the marked points
     0, 1, infinity get the value 0.
     """
-    a, b = p.a, p.b
     if b == 0.0:
         return Interval.INFINITY, 0.0, a, a
     if a == 0.0:
@@ -116,7 +116,7 @@ def classify(p: ProjPoint) -> Interval:
     for tag, q in marked:
         if chordal(p, q) <= POINT_TOL:
             return tag
-    return _branch(p)[0]
+    return _branch(p.a, p.b)[0]
 
 
 def circle_cover(p: ProjPoint) -> CirclePoint:
@@ -126,7 +126,7 @@ def circle_cover(p: ProjPoint) -> CirclePoint:
     selection uses exact signs of the homogeneous pair, so every division
     lands in [0, 1].
     """
-    _, num, den, _ = _branch(p)
+    _, num, den, _ = _branch(p.a, p.b)
     return CirclePoint(num / den)
 
 
@@ -137,7 +137,7 @@ def cover_derivative(p: ProjPoint) -> float:
     the seams (value 1 at 0 and 1, value 0 at infinity) and strictly
     positive on the reals.
     """
-    r = p.b / _branch(p)[2]
+    r = p.b / _branch(p.a, p.b)[2]
     return r * r
 
 
@@ -170,7 +170,7 @@ def logit(p: ProjPoint) -> ProjPoint:
 
     Raises DomainError for affine values outside [0, 1].
     """
-    if _branch(p)[0] not in (Interval.UNIT, Interval.ZERO, Interval.ONE):
+    if _branch(p.a, p.b)[0] not in (Interval.UNIT, Interval.ZERO, Interval.ONE):
         raise DomainError("logit needs an affine value in [0, 1]")
     return line_cover(p)
 
@@ -184,7 +184,7 @@ def line_cover(p: ProjPoint) -> ProjPoint:
     infinity.  Continuous as a map of pointed projective lines (the sign
     flips across a seam happen through the point at infinity).
     """
-    tag, num, _, rest = _branch(p)
+    tag, num, _, rest = _branch(p.a, p.b)
     if tag.is_boundary:
         return INFINITY
     return ProjPoint.from_affine(math.log(num) - math.log(rest))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cover import CirclePoint, circle_cover, cover_derivative
+from .cover import CirclePoint, _branch, circle_cover, cover_derivative
 from .projline import (
     INFINITY,
     ONE,
@@ -26,7 +26,9 @@ from .projline import (
     ZERO,
     MobiusMap,
     ProjPoint,
+    _canon,
     _cross,
+    _cross_checked,
     _det,
     chordal,
     cross_ratio,
@@ -139,11 +141,10 @@ class Configuration:
         points = obj.get("points") if isinstance(obj, dict) else None
         if not isinstance(points, list):
             raise ValueError('configuration JSON must be {"points": [point forms], "n": int}')
-        try:
-            pts = tuple(ProjPoint.from_json(v) for v in points)
-            n = int(obj.get("n", len(pts) - 1))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"bad configuration JSON: {exc}") from None
+        pts = tuple(ProjPoint.from_json(v) for v in points)
+        n = obj.get("n", len(pts) - 1)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n = {n!r} is not an integer")
         cfg = cls(pts)
         if n != cfg.n:
             raise ValueError(f"n = {obj['n']} does not match {len(pts)} points")
@@ -235,8 +236,18 @@ def triple_coord(c: Configuration, s: tuple[int, int, int]) -> CirclePoint:
 
 
 def albanese(c: Configuration) -> list[CirclePoint]:
-    """All triple coordinates, in lexicographic triple order."""
-    return [triple_coord(c, s) for s in triples(c.n)]
+    """All triple coordinates, in lexicographic triple order.
+
+    triple_coord of each triple bit for bit, taken on the stored pairs without a point per value.
+    """
+    pairs = [(p.a, p.b) for p in c.points]
+    a0, b0 = pairs[0]
+    values = []
+    for i, j, k in triples(c.n):
+        num, den = _cross_checked(a0, b0, *pairs[i], *pairs[j], *pairs[k])
+        _, num, den, _ = _branch(*_canon(num, den))
+        values.append(CirclePoint(num / den))
+    return values
 
 
 # -- fast chart-side evaluation ------------------------------------------

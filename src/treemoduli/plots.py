@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cover import CirclePoint, circle_cover, circle_distance, devadoss_length
+from .cover import CirclePoint, _branch, circle_distance, devadoss_length
 from .projline import ProjPoint
 from .tangent import cayley, stereo_param
 
@@ -137,14 +137,16 @@ def tree3_figure(
     )
 
 
-def _loop(k: int) -> Iterator[tuple[float, ProjPoint]]:
-    """k pairs (s, x) with x = tan(pi s) on the uniform grid over one loop, s in [-1/2, 1/2]."""
+def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
+    """k samples (s, x, cover value of x), x = tan(pi s), on the uniform grid of s in [-1/2, 1/2]."""
     k = int(k)
     if k < 2:
         raise ValueError("need at least two samples")
     for j in range(k):
         s = -0.5 + j / (k - 1)
-        yield s, stereo_param(s - 0.25)
+        x = stereo_param(s - 0.25)
+        _, num, den, _ = _branch(x.a, x.b)
+        yield s, x, CirclePoint(num / den)
 
 
 def helix_samples(k: int) -> list[tuple[CirclePoint, CirclePoint]]:
@@ -153,30 +155,26 @@ def helix_samples(k: int) -> list[tuple[CirclePoint, CirclePoint]]:
     The first coordinate winds once around the circle, the second three
     times; the endpoints of the list agree modulo 1 in both coordinates.
     """
-    return [(CirclePoint(_angle(cayley(x))), circle_cover(x)) for _s, x in _loop(k)]
+    return [(CirclePoint(_angle(cayley(x))), t) for _s, x, t in _loop(k)]
 
 
 def graph_samples(k: int) -> list[tuple[float, ProjPoint, CirclePoint]]:
     """k samples (s, x, cover value) with x = tan(pi s) over one loop."""
-    return [(s, x, circle_cover(x)) for s, x in _loop(k)]
+    return list(_loop(k))
 
 
 # -- text emitters ---------------------------------------------------------
-
-
-def _g9(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def arcs_csv(arcs) -> str:
     lines = ["kind,t1,t2,center_x,center_y,radius"]
     for a in arcs:
         if a.kind == "diameter":
-            lines.append(f"diameter,{_g9(a.t1)},{_g9(a.t2)},,,")
+            lines.append(f"diameter,{a.t1:.9g},{a.t2:.9g},,,")
         else:
             lines.append(
-                f"circular,{_g9(a.t1)},{_g9(a.t2)},"
-                f"{_g9(a.center[0])},{_g9(a.center[1])},{_g9(a.radius)}"
+                f"circular,{a.t1:.9g},{a.t2:.9g},"
+                f"{a.center[0]:.9g},{a.center[1]:.9g},{a.radius:.9g}"
             )
     return "\n".join(lines) + "\n"
 
@@ -184,15 +182,15 @@ def arcs_csv(arcs) -> str:
 def helix_csv(samples) -> str:
     lines = ["point_angle,cover_angle"]
     for s, t in samples:
-        lines.append(f"{_g9(s.t)},{_g9(t.t)}")
+        lines.append(f"{s.t:.9g},{t.t:.9g}")
     return "\n".join(lines) + "\n"
 
 
 def graph_csv(samples) -> str:
     lines = ["loop_param,x,cover_value"]
     for s, x, t in samples:
-        xs = "inf" if x.is_infinite else _g9(x.affine)
-        lines.append(f"{_g9(s)},{xs},{_g9(t.t)}")
+        xs = "inf" if x.b == 0.0 else f"{x.a / x.b:.9g}"
+        lines.append(f"{s:.9g},{xs},{t.t:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,7 +216,7 @@ def _arc_path(a: ArcDescriptor) -> str:
     (x1, y1), (x2, y2) = (_to_px(p) for p in a.endpoints())
     if a.kind == "diameter":
         return (
-            f'<line x1="{_g9(x1)}" y1="{_g9(y1)}" x2="{_g9(x2)}" y2="{_g9(y2)}" '
+            f'<line x1="{x1:.9g}" y1="{y1:.9g}" x2="{x2:.9g}" y2="{y2:.9g}" '
             'stroke="black" fill="none"/>'
         )
     r = a.radius * SVG_RADIUS
@@ -229,8 +227,8 @@ def _arc_path(a: ArcDescriptor) -> str:
     ) * (z2[0] - a.center[0])
     sweep = 0 if cross > 0 else 1
     return (
-        f'<path d="M {_g9(x1)} {_g9(y1)} A {_g9(r)} {_g9(r)} 0 0 {sweep} '
-        f'{_g9(x2)} {_g9(y2)}" stroke="black" fill="none"/>'
+        f'<path d="M {x1:.9g} {y1:.9g} A {r:.9g} {r:.9g} 0 0 {sweep} '
+        f'{x2:.9g} {y2:.9g}" stroke="black" fill="none"/>'
     )
 
 
@@ -245,13 +243,13 @@ def disk_svg(fig: Tree3Figure) -> str:
     if fig.internal_edge is not None:
         (x1, y1), (x2, y2) = (_to_px(p) for p in fig.internal_edge)
         parts.append(
-            f'<line x1="{_g9(x1)}" y1="{_g9(y1)}" x2="{_g9(x2)}" y2="{_g9(y2)}" '
+            f'<line x1="{x1:.9g}" y1="{y1:.9g}" x2="{x2:.9g}" y2="{y2:.9g}" '
             'stroke="black" stroke-dasharray="8 6" fill="none"/>\n'
         )
     for i, t in enumerate(fig.angles):
         x, y = _to_px((math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)))
         parts.append(
-            f'<circle cx="{_g9(x)}" cy="{_g9(y)}" r="6" '
+            f'<circle cx="{x:.9g}" cy="{y:.9g}" r="6" '
             f'fill="{"black" if i == 0 else "white"}" stroke="black"/>\n'
         )
     glabel = "inf" if fig.gamma.is_infinite else format(fig.gamma.affine, ".9g")

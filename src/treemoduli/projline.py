@@ -50,6 +50,16 @@ class DegenerateAnchor(ArithmeticError):
     """Coincident anchor points cannot be sent to (0, 1, infinity)."""
 
 
+def _canon(a: float, b: float) -> tuple[float, float]:
+    """The pair ProjPoint stores for a finite nonzero [a : b] (see its docstring); never -0.0."""
+    shift = 1 - math.frexp(a if abs(a) > abs(b) else b)[1]
+    a = math.ldexp(a, shift)
+    b = math.ldexp(b, shift)
+    if b < 0.0 or (b == 0.0 and a < 0.0):
+        return 0.0 - a, 0.0 - b
+    return a + 0.0, b + 0.0
+
+
 class ProjPoint:
     """A point of the real projective line, stored as a pair [a : b].
 
@@ -64,19 +74,14 @@ class ProjPoint:
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        a = float(a) + 0.0
-        b = float(b) + 0.0
+        a, b = float(a), float(b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("homogeneous pair must be finite")
         if a == 0.0 and b == 0.0:
             raise ValueError("[0 : 0] is not a projective point")
-        shift = 1 - math.frexp(max(abs(a), abs(b)))[1]
-        a = math.ldexp(a, shift)
-        b = math.ldexp(b, shift)
-        if b < 0.0 or (b == 0.0 and a < 0.0):
-            a, b = -a, -b
-        object.__setattr__(self, "a", a + 0.0)
-        object.__setattr__(self, "b", b + 0.0)
+        a, b = _canon(a, b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -138,13 +143,30 @@ class ProjPoint:
 
     @classmethod
     def from_json(cls, obj) -> "ProjPoint":
+        """Point from a finite number, the string "inf" or a pair [a, b] of finite numbers.
+
+        Booleans, other strings and out-of-range numbers (1e400, Infinity) raise ValueError.
+        """
         if obj == "inf":
             return INFINITY
         if isinstance(obj, (list, tuple)):
             if len(obj) != 2:
                 raise ValueError(f"homogeneous form needs two entries, got {obj!r}")
-            return cls(float(obj[0]), float(obj[1]))
-        return cls.from_affine(float(obj))
+            return cls(_finite_number(obj[0]), _finite_number(obj[1]))
+        return cls.from_affine(_finite_number(obj))
+
+
+def _finite_number(v) -> float:
+    """A JSON number as a finite float; ValueError for any other value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"point value {v!r} is not a number")
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f'point value {x!r} is not a finite number; infinity is written "inf"')
+    return x
 
 
 def _det(a0, b0, a1, b1):
@@ -161,6 +183,14 @@ def _cross(a0, b0, a1, b1, a2, b2, a3, b3):
         _det(a0, b0, a1, b1) * _det(a2, b2, a3, b3),
         _det(a0, b0, a2, b2) * _det(a1, b1, a3, b3),
     )
+
+
+def _cross_checked(a0, b0, a1, b1, a2, b2, a3, b3):
+    """_cross of four float pairs; IndeterminateCrossRatio when it is 0/0."""
+    num, den = _cross(a0, b0, a1, b1, a2, b2, a3, b3)
+    if num == 0.0 and den == 0.0:
+        raise IndeterminateCrossRatio("cross-ratio is 0/0 on this quadruple")
+    return num, den
 
 
 ZERO = ProjPoint(0.0, 1.0)
@@ -306,10 +336,7 @@ def cross_ratio(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> P
     Raises IndeterminateCrossRatio when numerator and denominator both
     vanish (three or more coincident points).
     """
-    num, den = _cross(p0.a, p0.b, p1.a, p1.b, p2.a, p2.b, p3.a, p3.b)
-    if num == 0.0 and den == 0.0:
-        raise IndeterminateCrossRatio("cross-ratio is 0/0 on this quadruple")
-    return ProjPoint(num, den)
+    return ProjPoint(*_cross_checked(p0.a, p0.b, p1.a, p1.b, p2.a, p2.b, p3.a, p3.b))
 
 
 def frame_map(q0: ProjPoint, q1: ProjPoint, qinf: ProjPoint) -> MobiusMap:

@@ -154,6 +154,12 @@ def test_golden_outputs():
         (("metric", "--chart", "0.1,0.2,0.35,-4,9"), "metric_n7.txt"),
         (("curve-length", "--input", str(GOLDEN / "seam_path.csv")), "curve_length_seam.txt"),
     ]
+    # exact path: albanese on extreme homogeneous pairs, and the loop emitters
+    table += [
+        (("albanese", "--input", str(GOLDEN / "albanese_n12.json")), "albanese_n12.txt"),
+        (("plot", "helix", "--format", "svg", "--k", "257"), "plot_helix_k257.svg"),
+        (("plot", "kappa-graph", "--k", "257"), "plot_kappa_graph_k257.csv"),
+    ]
     for argv, name in table:
         assert run_ok(*argv) == (GOLDEN / name).read_text(), name
 
@@ -235,8 +241,23 @@ def test_exit_code_input_errors():
         "[0,1,2,3]",
         '{"points": [0,1,2,3,"inf"], "n": null}',
         '{"points": [0, 1, 2, 1%s]}' % ("0" * 400),  # an integer beyond the float range
+        # only the string "inf" is infinity, and neither booleans nor strings are numbers
+        '{"points": [0, 0.3, 1e400, 0.5, 1]}',
+        '{"points": [0, 0.3, Infinity, 0.5, 1]}',
+        '{"points": [0, 0.3, -Infinity, 0.5, 1]}',
+        '{"points": [0, 0.3, NaN, 0.5, 1]}',
+        '{"points": [0, 0.3, [1e400, 1], 0.5, 1]}',
+        '{"points": [0, true, 2, 3]}',
+        '{"points": [0, [true, false], 2, 3]}',
+        '{"points": [0, 1, 2, "3"]}',
+        '{"points": [0, 1, 2, 3, 4], "n": 4.7}',
+        '{"points": [0, 1, 2, 3], "n": true}',
     ],
-    ids=["null-point", "points-not-a-list", "not-an-object", "null-n", "huge-integer"],
+    ids=[
+        "null-point", "points-not-a-list", "not-an-object", "null-n", "huge-integer",
+        "out-of-range-number", "Infinity", "minus-Infinity", "NaN", "out-of-range-pair",
+        "boolean-point", "boolean-pair", "string-number", "fractional-n", "boolean-n",
+    ],
 )
 @pytest.mark.parametrize("source", ["--points", "--input"])
 def test_exit_code_albanese_json_shape(text, source, tmp_path, capsys):
@@ -247,6 +268,12 @@ def test_exit_code_albanese_json_shape(text, source, tmp_path, capsys):
     code, out = run("albanese", source, text)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("treemoduli: ")
+
+
+def test_albanese_three_coincident_points_exit_3(capsys):
+    # root 0 and the leaves 2, [4 : 2], [-2 : -1]: one point three times
+    assert run("albanese", "--points", '{"points": [0, 2, [4, 2], [-2, -1]]}') == (3, "")
+    assert capsys.readouterr().err == "treemoduli: cross-ratio is 0/0 on this quadruple\n"
 
 
 def test_curve_length_malformed_first_row_is_no_header(tmp_path, capsys):

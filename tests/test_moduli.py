@@ -44,6 +44,7 @@ from treemoduli.projline import (
     INFINITY,
     ONE,
     ZERO,
+    IndeterminateCrossRatio,
     MobiusMap,
     ProjPoint,
     chordal,
@@ -229,6 +230,45 @@ def test_albanese_enumeration():
     assert triples(4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     c4 = chart_embed(ChartPoint((0.3, 0.7)))
     assert len(albanese(c4)) == 4
+
+
+@st.composite
+def extreme_entries(draw):
+    """A homogeneous entry: zero (1 in 8), else subnormal, ordinary or huge, of either sign."""
+    if draw(st.integers(0, 7)) == 0:
+        return 0.0
+    mag = draw(st.one_of(st.floats(5e-324, 2.2e-308), st.floats(1e-3, 1e3), st.floats(1e300, 1.7e308)))
+    return draw(st.sampled_from((1.0, -1.0))) * mag
+
+
+@st.composite
+def homogeneous_configurations(draw):
+    """4-8 points from extreme pairs; about a quarter sit at or within 1e-9 of an earlier one."""
+    pts = []
+    for _ in range(draw(st.integers(4, 8))):
+        if pts and draw(st.integers(0, 3)) == 0:
+            p = draw(st.sampled_from(pts))
+            e = draw(st.sampled_from((0.0, 2.0**-52, 1e-12, 1e-9)))
+            pts.append(ProjPoint(p.a * (1.0 + e), p.b * (1.0 - e)))
+        else:
+            a, b = draw(extreme_entries()), draw(extreme_entries())
+            pts.append(ProjPoint(a, b) if (a, b) != (0.0, 0.0) else INFINITY)
+    return Configuration(tuple(pts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(homogeneous_configurations())
+def test_albanese_is_triple_coord_bit_for_bit(c):
+    # albanese evaluates the stored pairs without building points; it must
+    # give triple_coord's value for every triple, or raise its 0/0 error
+    try:
+        expected = [triple_coord(c, s).t.hex() for s in triples(c.n)]
+    except IndeterminateCrossRatio as exc:
+        with pytest.raises(IndeterminateCrossRatio) as info:
+            albanese(c)
+        assert str(info.value) == str(exc)
+        return
+    assert [t.t.hex() for t in albanese(c)] == expected
 
 
 def test_albanese_permutation_covariance():

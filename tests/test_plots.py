@@ -3,8 +3,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treemoduli.cover import circle_distance, devadoss_length
+from treemoduli.cover import CirclePoint, circle_cover, circle_distance, devadoss_length
 from treemoduli.plots import (
     CoincidentIdealPoints,
     arcs_csv,
@@ -19,6 +21,7 @@ from treemoduli.plots import (
     tree3_figure,
 )
 from treemoduli.projline import INFINITY, ONE, ZERO, ProjPoint
+from treemoduli.tangent import cayley, stereo_param
 
 
 def pt(x):
@@ -173,3 +176,21 @@ def test_svg_arc_geometry_is_annotated():
         if arc.kind == "circular":
             cx, cy = arc.center
             assert cx * cx + cy * cy == pytest.approx(1.0 + arc.radius**2, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 1500))
+def test_loop_samples_match_per_sample_cover(k):
+    # reference: one ProjPoint and one circle_cover call per sample
+    grid = [-0.5 + j / (k - 1) for j in range(k)]
+    xs = [stereo_param(s - 0.25) for s in grid]
+    cover = [circle_cover(x).t.hex() for x in xs]
+    z = [cayley(x) for x in xs]
+    angle = [CirclePoint(math.atan2(w.imag, w.real) / (2.0 * math.pi)).t.hex() for w in z]
+    helix = helix_samples(k)
+    assert [p.t.hex() for p, _ in helix] == angle
+    assert [t.t.hex() for _, t in helix] == cover
+    graph = graph_samples(k)
+    assert [s for s, _, _ in graph] == grid
+    assert [(x.a, x.b) for _, x, _ in graph] == [(x.a, x.b) for x in xs]
+    assert [t.t.hex() for _, _, t in graph] == cover

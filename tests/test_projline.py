@@ -57,6 +57,15 @@ def test_canonical_form_invariants():
         assert first > 0.0
 
 
+def test_canonical_pair_has_no_negative_zero():
+    # -0.0 would print as "-0.0" in the JSON echo of a point
+    for a, b in ((-0.0, 1.0), (0.0, -3.0), (-0.0, -3.0), (2.0, -0.0), (-2.0, 0.0), (1e300, -1e-300)):
+        p = ProjPoint(a, b)
+        assert math.copysign(1.0, p.a) == 1.0 or p.a < 0.0
+        assert math.copysign(1.0, p.b) == 1.0
+    assert ProjPoint(-0.0, 1.0).to_json() == 0.0 and str(ProjPoint(-0.0, 1.0).to_json()) == "0.0"
+
+
 def test_affine_round_trip_exact():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-1e6, 1e6, size=100):
@@ -85,6 +94,12 @@ def test_json_round_trip():
     for p in (ZERO, ONE, INFINITY, ProjPoint.from_affine(-3.25)):
         assert ProjPoint.from_json(p.to_json()) == p
     assert ProjPoint.from_json([2.0, 4.0]).affine == 0.5
+    assert ProjPoint.from_json(3).affine == 3.0
+    assert ProjPoint.from_json([-1, 4]).affine == -0.25
+    # only the string "inf" is infinity; booleans and strings are not numbers
+    for bad in (math.inf, -math.inf, math.nan, [math.inf, 1.0], True, [True, False], "3", "Infinity", None):
+        with pytest.raises(ValueError):
+            ProjPoint.from_json(bad)
     # affine overflow falls back to the homogeneous form
     big = ProjPoint(1.0, 1e-320)
     obj = big.to_json()
