@@ -327,6 +327,32 @@ def test_exit_code_rank_scan_reject_cap(capsys):
 
 
 @pytest.mark.parametrize(
+    "code, argv",
+    [
+        (0, ("--n", "3", "--seed", str(2**80))),
+        (2, ("--seed", "-1")),
+        (2, ("--n", "9")),
+        (2, ("--trials", "0")),
+        (2, ("--trials", "-5")),
+        (2, ("--h", "nan")),
+        (2, ("--h", "inf")),
+        (2, ("--tol", "nan")),
+        (3, ("--h", "1e-300")),
+        (3, ("--h", "5e-324")),
+        (3, ("--h", "1e308")),  # 10 h overflows: no draw has a larger seam margin
+    ],
+)
+def test_exit_code_table_rank_scan(code, argv, capsys):
+    got, out = run("rank-scan", "--n", "4", "--trials", "5", *argv)
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["seed"] == 2**80 and err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("treemoduli: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("metric", "--chart", "0.3,0.5", "--h", "0"),
@@ -456,6 +482,18 @@ def test_exact_commands_never_import_numpy():
     proc = run_child("-c", NUMPY_FREE_CHILD, json.dumps(NUMPY_FREE))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, run_ok(*argv)] for argv in NUMPY_FREE]
+
+
+def test_rank_scan_never_imports_numpy_random():
+    # the per-trial streams come from treemoduli._streams, without numpy.random
+    proc = run_child(
+        "-c",
+        "import io, sys; from treemoduli.cli import main; "
+        "code = main(['rank-scan', '--n', '4', '--trials', '10'], out=io.StringIO()); "
+        "assert code == 0 and 'numpy' in sys.modules; "
+        "assert 'numpy.random' not in sys.modules, 'rank-scan imported numpy.random'",
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero():

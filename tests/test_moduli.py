@@ -33,13 +33,16 @@ from treemoduli.moduli import (
 )
 from treemoduli.moduli import (
     _central_jacobians,
+    _chart_margins,
     _chart_ratios,
     _cover_values,
     _incidence,
+    _rank_and_ratio,
     _seam_margin,
     _triple_arrays,
     _wrap,
 )
+from treemoduli._streams import pcg64_doubles, pcg64_streams
 from treemoduli.projline import (
     INFINITY,
     ONE,
@@ -829,6 +832,102 @@ def test_rank_scan_counterexample_matches_per_trial_loop():
     rep = rank_scan(6, 100, seed=5, tol=0.05)
     assert rep["counterexample"] is not None
     assert rep == loop_rank_scan(6, 100, 5, tol=0.05)
+
+
+STREAM_SEEDS = [0, 1, 5, 109, 2**32 - 1, 2**32, 2**64 + 5, 3**80, 10**39 + 7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("ks", [range(40), [2**32 - 1], [2**32, 2**40 + 3]], ids=["0..39", "2^32-1", "two-word"])
+def test_pcg64_kernel_is_default_rng_bit_for_bit(seed, ks):
+    # the first draw of a chart, then more from the same streams, as a redraw takes them
+    state, inc = pcg64_streams(seed, ks)
+    state, first = pcg64_doubles(state, inc, 4)
+    state, more = pcg64_doubles(state, inc, 9)
+    want = np.array([np.random.default_rng([seed, k]).random(16) for k in ks]).view(np.uint64)
+    assert (np.hstack([first, more]).view(np.uint64) == want[:, :13]).all()
+    _, last = pcg64_doubles(state[-1:], inc[-1:], 3)  # a one-row slice advances its own stream
+    assert (last.view(np.uint64) == want[-1:, 13:]).all()
+
+
+def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
+    """rank_scan drawn from one np.random.default_rng([seed, k]) per trial k: the stream reference."""
+    trip, bk = _triple_arrays(n)
+    dim = n - 2
+
+    def draw(rng):
+        return np.tan(np.pi * (rng.random(dim) + 0.25))
+
+    def accepted(U):
+        return np.isfinite(U).all(axis=-1) & (_chart_margins(U, trip, bk) > 10.0 * h)
+
+    full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
+    for k0 in range(0, trials, 16):
+        ks = range(k0, min(k0 + 16, trials))
+        rngs = [np.random.default_rng([int(seed), k]) for k in ks]
+        U = np.array([draw(rng) for rng in rngs])
+        for row in np.flatnonzero(~accepted(U)):
+            for _ in range(reject_cap - 1):
+                U[row] = draw(rngs[row])
+                if accepted(U[row]):
+                    break
+            else:
+                raise SeamTooClose(
+                    f"trial {ks[row]}: no draw with seam margin above 10 h in {reject_cap} tries"
+                )
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
+        short = np.flatnonzero(rank < dim)
+        full += len(ks) - len(short)
+        if counterexample is None and len(short):
+            counterexample = [float(v) for v in U[short[0]]]
+        min_rank = min(min_rank, int(rank.min()))
+        worst_ratio = min(worst_ratio, float(ratio.min()))
+    return {
+        "n": n, "trials": trials, "seed": int(seed), "h": float(h), "tol": float(tol),
+        "full_rank_count": full, "min_rank": min_rank,
+        "worst_sigma_ratio": worst_ratio, "counterexample": counterexample,
+    }
+
+
+def scan_outcome(scan, *args, **kwargs):
+    """The report of a scan, or the type and message of the error it raises."""
+    try:
+        return scan(*args, **kwargs)
+    except (SeamTooClose, InvalidChart) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32, 2**70])
+@pytest.mark.parametrize("h", [1e-3, 3e-3, 1e-2])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_rank_scan_streams_match_default_rng(n, h, seed):
+    # rejection-heavy steps: many charts are redrawn, some trials exhaust the cap
+    want = scan_outcome(default_rng_rank_scan, n, 40, seed, h)
+    assert scan_outcome(rank_scan, n, 40, seed, h) == want
+
+
+@pytest.mark.parametrize(
+    "n, trials, seed, h, cap",
+    [
+        (5, 300, 3, 1e-3, 1000),
+        (4, 600, 10**39 + 7, 1e-2, 1000),
+        (8, 3, 0, 0.5, 1000),
+        (4, 3, 1, 0.5, 1000),
+        (4, 600, 2, 1e-3, 3),
+        (6, 600, 0, 1e-3, 5),
+        (4, 600, 2, 1e-3, 1),
+    ],
+)
+def test_rank_scan_streams_match_default_rng_across_chunks(n, trials, seed, h, cap):
+    # trial counts past the 256-trial stream chunk, a 40-digit seed, and reject-cap
+    # failures at trial 0 and, with a low cap, at trials 344 and 513 of later chunks
+    want = scan_outcome(default_rng_rank_scan, n, trials, seed, h, reject_cap=cap)
+    assert scan_outcome(rank_scan, n, trials, seed, h, reject_cap=cap) == want
+
+
+def test_rank_scan_refuses_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        rank_scan(4, 5, seed=-1)
 
 
 def test_rank_scan_reject_cap_names_lowest_trial():
