@@ -9,6 +9,7 @@ numerical-precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -76,96 +77,107 @@ def _emit_json(obj) -> str:
     return json.dumps(_round12(obj))
 
 
+# Every setting a command can read, with its type and accepted values: a flag
+# and a --config value are checked with the same ones.
+_TYPES = {"h": float, "tol": float, "seed": int, "trials": int, "n": int, "k": int, "format": str}
+_CHOICES = {"format": ("csv", "svg")}
+
+# The settings each command reads, and their defaults.  A flag overrides a
+# --config value, which overrides the default; no other command takes any.
+_COMMAND_SETTINGS = {
+    "metric": {"h": 1e-6},
+    "rank-scan": {"n": 4, "trials": 100, "seed": 0, "h": 1e-6, "tol": 1e-6},
+    "curve-length": {"h": 1e-6},
+    "tree3": {"format": "svg"},
+    "helix": {"format": "csv", "k": 256},
+    "kappa-graph": {"format": "csv", "k": 256},
+}
+
+
 def _read_config(path: str) -> dict:
+    """The key=value lines of a defaults file, each value checked as its flag's.
+
+    A key may name another command's setting, so one file can serve several commands.
+    """
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key, eq, text = (part.strip() for part in line.partition("="))
+            if not eq or key not in _TYPES:
+                raise ParseError(f"{path}: {line!r} is not key=value with a key in {', '.join(_TYPES)}")
+            try:
+                cfg[key] = _TYPES[key](text)
+            except ValueError:
+                raise ParseError(f"{path}: invalid {_TYPES[key].__name__} value for {key}: {text!r}") from None
+            if key in _CHOICES and text not in _CHOICES[key]:
+                raise ParseError(f"{path}: {key} must be one of {', '.join(_CHOICES[key])}, not {text!r}")
     return cfg
 
 
-def _setting(args, name: str, cast, default):
-    """A flag's value, else the --config file's, else default."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = args.settings.get(name)
-    return default if value is None else cast(value)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One stderr line, without the usage text, and exit 2 (argparse prints both)."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _command(subparsers, name: str, help: str) -> argparse.ArgumentParser:
+    """The parser of command name, with --config and a flag per setting if it reads any."""
+    p = subparsers.add_parser(name, help=help, allow_abbrev=False)
+    settings = _COMMAND_SETTINGS.get(name)
+    if settings:
+        p.add_argument("--config", help="key=value defaults file; flags override")
+        for key, default in settings.items():
+            p.add_argument("--" + key, type=_TYPES[key], choices=_CHOICES.get(key), help=f"default {default}")
+        p.set_defaults(settings=settings)
+    return p
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treemoduli",
-        description="Projective-line covers, tangent addition, and tree moduli metrics.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value defaults file; flags override")
-    common.add_argument("--format", dest="format", choices=("json", "csv", "svg"))
-    common.add_argument("--h", dest="h", type=float)
-    common.add_argument("--tol", dest="tol", type=float)
-    common.add_argument("--seed", dest="seed", type=int)
-    common.add_argument("--trials", dest="trials", type=int)
-    common.add_argument("--n", dest="n", type=int)
-    common.add_argument("--k", dest="k", type=int)
-
+    """Built on first use, then reused; no parser takes abbreviations, so --h never means --help."""
+    description = "Projective-line covers, tangent addition, and tree moduli metrics."
+    parser = _Parser(prog="treemoduli", description=description, allow_abbrev=False)
+    parser.set_defaults(config=None, settings={})
     sub = parser.add_subparsers(dest="cmd", required=True)
+    _command(sub, "crossratio", "cross-ratio of four points").add_argument("points", nargs=4)
+    _command(sub, "kappa", "circle cover value of a point").add_argument("point")
+    _command(sub, "gamma", "internal-edge length of a quadruple").add_argument("points", nargs=4)
 
-    p = sub.add_parser("crossratio", parents=[common], help="cross-ratio of four points")
-    p.add_argument("points", nargs=4)
-
-    p = sub.add_parser("kappa", parents=[common], help="circle cover value of a point")
-    p.add_argument("point")
-
-    p = sub.add_parser("gamma", parents=[common], help="internal-edge length of a quadruple")
-    p.add_argument("points", nargs=4)
-
-    p = sub.add_parser("group", parents=[common], help="tangent group operations")
-    gsub = p.add_subparsers(dest="groupcmd", required=True)
-    g = gsub.add_parser("add", parents=[common])
-    g.add_argument("operands", nargs=2)
-    g = gsub.add_parser("mul", parents=[common])
+    gsub = _command(sub, "group", "tangent group operations").add_subparsers(dest="groupcmd", required=True)
+    _command(gsub, "add", "tangent sum (p + q)/(1 - pq)").add_argument("operands", nargs=2)
+    g = _command(gsub, "mul", "m-fold tangent sum")
     g.add_argument("m", type=int)
     g.add_argument("point")
-    g = gsub.add_parser("neg", parents=[common])
-    g.add_argument("point")
-    g = gsub.add_parser("torsion", parents=[common])
-    g.add_argument("q", help="rational a/b")
+    _command(gsub, "neg", "group inverse").add_argument("point")
+    _command(gsub, "torsion", "torsion point tan(pi q)").add_argument("q", help="rational a/b")
 
-    p = sub.add_parser("cayley", parents=[common], help="circle image of a point")
-    p.add_argument("point")
-
-    p = sub.add_parser("su11", parents=[common], help="SU(1,1) form of a det-1 matrix")
+    _command(sub, "cayley", "circle image of a point").add_argument("point")
+    p = _command(sub, "su11", "SU(1,1) form of a det-1 matrix")
     p.add_argument("entries", nargs=4, type=float, metavar=("A", "B", "C", "D"))
 
-    p = sub.add_parser("albanese", parents=[common], help="all triple coordinates")
+    p = _command(sub, "albanese", "all triple coordinates")
     p.add_argument("--points", dest="points_json", help="configuration as inline JSON")
-    p.add_argument("--input", dest="input", help="configuration JSON file")
-
-    p = sub.add_parser("metric", parents=[common], help="averaged metric at a chart")
+    p.add_argument("--input", help="configuration JSON file")
+    p = _command(sub, "metric", "averaged metric at a chart")
     p.add_argument("--chart", required=True, help="comma-separated chart coordinates")
+    _command(sub, "rank-scan", "random rank probe of the Albanese differential")
+    p = _command(sub, "curve-length", "length of a chart path")
+    p.add_argument("--input", help="CSV of chart rows, or - for stdin")
 
-    sub.add_parser("rank-scan", parents=[common], help="random rank probe of the Albanese differential")
-
-    p = sub.add_parser("curve-length", parents=[common], help="length of a chart path")
-    p.add_argument("--input", dest="input", help="CSV of chart rows, or - for stdin")
-
-    p = sub.add_parser("plot", parents=[common], help="figure data emitters")
-    psub = p.add_subparsers(dest="plotcmd", required=True)
-    t3 = psub.add_parser("tree3", parents=[common])
-    t3.add_argument("points", nargs=4)
-    psub.add_parser("helix", parents=[common])
-    psub.add_parser("kappa-graph", parents=[common])
-
+    psub = _command(sub, "plot", "figure data emitters").add_subparsers(dest="plotcmd", required=True)
+    _command(psub, "tree3", "disk figure of a tree with three leaves").add_argument("points", nargs=4)
+    _command(psub, "helix", "circle angle against cover value along one loop")
+    _command(psub, "kappa-graph", "cover value along one loop")
     return parser
 
 
 def _load_configuration(args) -> moduli.Configuration:
-    if getattr(args, "points_json", None):
+    if args.points_json:
         return moduli.Configuration.from_json(json.loads(args.points_json))
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, encoding="utf-8") as fh:
             return moduli.Configuration.from_json(json.load(fh))
     raise ParseError("albanese needs --points or --input")
@@ -190,7 +202,7 @@ def _is_number(token: str) -> bool:
 
 
 def _read_chart_rows(args) -> list[moduli.ChartPoint]:
-    if not getattr(args, "input", None):
+    if not args.input:
         raise ParseError("curve-length needs --input PATH or --input -")
     if args.input == "-":
         text = sys.stdin.read()
@@ -249,12 +261,8 @@ def _dispatch(args, out) -> None:
         from .projline import MobiusMap
 
         mat = tangent.su11_conjugate(MobiusMap(*args.entries))
-        out.write(
-            _emit_json(
-                {"u": [mat.u.real, mat.u.imag], "v": [mat.v.real, mat.v.imag]}
-            )
-            + "\n"
-        )
+        doc = {"u": [mat.u.real, mat.u.imag], "v": [mat.v.real, mat.v.imag]}
+        out.write(_emit_json(doc) + "\n")
 
     elif args.cmd == "albanese":
         cfg = _load_configuration(args)
@@ -263,37 +271,24 @@ def _dispatch(args, out) -> None:
         out.write(_emit_json(doc) + "\n")
 
     elif args.cmd == "metric":
-        h = _setting(args, "h", float, 1e-6)
         chart = _parse_chart(args.chart)
-        g = moduli.metric_matrix(chart, h)
-        out.write(
-            _emit_json(
-                {"n": chart.n, "h": h, "chart": list(chart.u), "matrix": g.tolist()}
-            )
-            + "\n"
-        )
+        g = moduli.metric_matrix(chart, args.h)
+        doc = {"n": chart.n, "h": args.h, "chart": list(chart.u), "matrix": g.tolist()}
+        out.write(_emit_json(doc) + "\n")
 
     elif args.cmd == "rank-scan":
-        report = moduli.rank_scan(
-            n=_setting(args, "n", int, 4),
-            trials=_setting(args, "trials", int, 100),
-            seed=_setting(args, "seed", int, 0),
-            h=_setting(args, "h", float, 1e-6),
-            tol=_setting(args, "tol", float, 1e-6),
-        )
+        report = moduli.rank_scan(args.n, args.trials, args.seed, h=args.h, tol=args.tol)
         out.write(_emit_json(report) + "\n")
 
     elif args.cmd == "curve-length":
-        h = _setting(args, "h", float, 1e-6)
         rows = _read_chart_rows(args)
-        length = moduli.curve_length(rows, h)
-        out.write(_emit_json({"h": h, "samples": len(rows), "length": length}) + "\n")
+        length = moduli.curve_length(rows, args.h)
+        out.write(_emit_json({"h": args.h, "samples": len(rows), "length": length}) + "\n")
 
     elif args.cmd == "plot":
-        fmt = _setting(args, "format", str, None)
         if args.plotcmd == "tree3":
             fig = plots.tree3_figure(*(parse_point(t) for t in args.points))
-            if (fmt or "svg") == "svg":
+            if args.format == "svg":
                 out.write(plots.disk_svg(fig))
             else:
                 glabel = "inf" if fig.gamma.is_infinite else _g12(fig.gamma.affine)
@@ -305,8 +300,8 @@ def _dispatch(args, out) -> None:
                 if args.plotcmd == "helix"
                 else (plots.graph_samples, plots.graph_csv, plots.graph_svg)
             )
-            samples = sample(_setting(args, "k", int, 256))
-            out.write(csv(samples) if (fmt or "csv") == "csv" else svg(samples))
+            samples = sample(args.k)
+            out.write(csv(samples) if args.format == "csv" else svg(samples))
 
 
 # A minus sign followed by a digit, a point or "inf" starts a number (or a
@@ -325,14 +320,16 @@ def _shield_negative_numbers(argv: list[str]) -> list[str]:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_shield_negative_numbers(argv))
+        args = build_parser().parse_args(_shield_negative_numbers(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.settings = _read_config(args.config) if args.config else {}
+        cfg = _read_config(args.config) if args.config else {}
+        for key, default in args.settings.items():
+            if getattr(args, key) is None:
+                setattr(args, key, cfg.get(key, default))
         _dispatch(args, out)
     except ArithmeticError as exc:
         print(f"treemoduli: {exc}", file=sys.stderr)

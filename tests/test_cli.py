@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -199,6 +201,81 @@ def test_config_file_is_read_once(tmp_path, monkeypatch):
     assert reads == [str(cfg)]  # once, not once per setting
 
 
+def test_config_file_serves_several_commands(tmp_path):
+    # a key of another command's setting is accepted and left unread
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("seed=7\ntrials=10\nn=4\nformat=svg\nk=16\nh=1e-5\n")
+    assert run_ok("rank-scan", "--config", str(cfg)) == run_ok(
+        "rank-scan", "--n", "4", "--trials", "10", "--seed", "7", "--h", "1e-5"
+    )
+    assert run_ok("plot", "helix", "--config", str(cfg)) == run_ok("plot", "helix", "--format", "svg", "--k", "16")
+    assert run_ok("plot", "tree3", "0", "0.5", "1", "inf", "--config", str(cfg)) == run_ok(
+        "plot", "tree3", "0", "0.5", "1", "inf"
+    )
+
+
+def test_parser_is_built_once():
+    import treemoduli.cli as cli
+
+    # importing the CLI builds no parser: start-up pays only for what it runs
+    code = "import treemoduli.cli as c; assert c.build_parser.cache_info().currsize == 0"
+    assert run_child("-c", code).returncode == 0
+    cli.build_parser.cache_clear()
+    cfg = json.dumps({"n": 4, "points": [0, 0.3, 0.7, 1, "inf"]})
+    run_ok("albanese", "--points", cfg)
+    scan = run_ok("rank-scan", "--n", "4", "--trials", "5")
+    assert cli.build_parser.cache_info().misses == 1
+    # the reused parser carries nothing from one parse to the next
+    cli.build_parser.cache_clear()
+    assert run_ok("rank-scan", "--n", "4", "--trials", "5") == scan
+
+
+# The flags each parser takes besides -h/--help; the settings and --config
+# only where the command reads them.
+COMMAND_FLAGS = {
+    (): set(),
+    ("crossratio",): set(),
+    ("kappa",): set(),
+    ("gamma",): set(),
+    ("group",): set(),
+    ("group", "add"): set(),
+    ("group", "mul"): set(),
+    ("group", "neg"): set(),
+    ("group", "torsion"): set(),
+    ("cayley",): set(),
+    ("su11",): set(),
+    ("albanese",): {"--points", "--input"},
+    ("metric",): {"--chart", "--config", "--h"},
+    ("rank-scan",): {"--config", "--n", "--trials", "--seed", "--h", "--tol"},
+    ("curve-length",): {"--input", "--config", "--h"},
+    ("plot",): set(),
+    ("plot", "tree3"): {"--config", "--format"},
+    ("plot", "helix"): {"--config", "--format", "--k"},
+    ("plot", "kappa-graph"): {"--config", "--format", "--k"},
+}
+
+
+def _parsers(parser, path=()):
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, path + (name,))
+
+
+def test_each_parser_takes_only_the_flags_its_command_reads():
+    from treemoduli.cli import build_parser
+
+    flags, formats = {}, []
+    for path, parser in _parsers(build_parser()):
+        flags[path] = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        formats += [a.choices for a in parser._actions if "--format" in a.option_strings]
+    assert flags == COMMAND_FLAGS
+    assert formats == [("csv", "svg")] * 3
+    settable = {"--config", "--h", "--tol", "--seed", "--trials", "--n", "--k", "--format"}
+    assert sum(len(f & settable) for f in flags.values()) == 18
+
+
 # -- plots -------------------------------------------------------------------------------
 
 
@@ -303,6 +380,79 @@ def test_exit_code_seam_collision_without_warnings(capsys):
             code, out = run("metric", "--chart", chart)
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("treemoduli: seam margin nan")
+
+
+POINTS = json.dumps({"n": 4, "points": [0, 0.3, 0.7, 1, "inf"]})
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        # a flag of another command, or of the subcommand given before it
+        (("plot", "--k", "12", "helix"), None),
+        (("plot", "--format", "svg", "helix"), None),
+        (("metric", "--chart", "0.3,0.5", "--n", "7"), None),
+        (("crossratio", "0", "1", "2", "3", "--seed", "5"), None),
+        (("group", "--seed", "1", "add", "1", "1"), None),
+        (("albanese", "--points", POINTS, "--h", "1e-3"), None),
+        (("crossratio", "0", "1", "2", "3", "--config"), "seed=7\n"),
+        # a format no emitter writes
+        (("plot", "helix", "--format", "json"), None),
+        (("plot", "tree3", "0", "0.5", "1", "inf", "--format", "json"), None),
+        # --config lines are checked like flags
+        (("rank-scan", "--trials", "3", "--config"), "seed 7\n"),
+        (("rank-scan", "--trials", "3", "--config"), "sead=7\n"),
+        (("rank-scan", "--trials", "3", "--config"), "=7\n"),
+        (("rank-scan", "--trials", "3", "--config"), "k=abc\n"),
+        (("plot", "helix", "--config"), "format=png\n"),
+        (("plot", "helix", "--config"), "k=abc\n"),
+        (("plot", "tree3", "0", "0.5", "1", "inf", "--config"), "format=json\n"),
+    ],
+)
+def test_foreign_and_misplaced_flags_exit_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "defaults.cfg"
+        path.write_text(config)
+        argv += (str(path),)
+    code, out = run(*argv)
+    assert code == 2 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# Tokens for the exact subcommands: zero, signs, infinity in every spelling,
+# 0/0, the float range's ends and beyond, nan and junk.
+TOKENS = (
+    "0", "-1", "1", "0.5", "2", "-0.25", "1/3", "inf", "-inf", "1/0", "0/0", "1e308", "-1e308",
+    "5e-324", "1e400", "nan", "abc", "10000000000000000000000/1",
+)
+EXACT_COMMANDS = {
+    ("crossratio",): 4,
+    ("kappa",): 1,
+    ("gamma",): 4,
+    ("group", "add"): 2,
+    ("group", "mul"): 2,
+    ("group", "neg"): 1,
+    ("group", "torsion"): 1,
+    ("cayley",): 1,
+    ("su11",): 4,
+    ("plot", "tree3"): 4,
+}
+
+
+@pytest.mark.parametrize("cmd", EXACT_COMMANDS, ids=" ".join)
+def test_exit_codes_of_exact_commands(cmd, capsys):
+    rng = random.Random(" ".join(cmd))
+    ints = ("0", "3", "-2", "10000000000000000000000", "1.5", "abc")
+    for _ in range(500):
+        args = [rng.choice(TOKENS) for _ in range(EXACT_COMMANDS[cmd])]
+        if cmd == ("group", "mul"):
+            args[0] = rng.choice(ints)
+        code, out = run(*cmd, *args)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), args
+        assert "nan" not in out.lower(), args
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, args
 
 
 @pytest.mark.parametrize(
