@@ -32,7 +32,6 @@ from .moduli import (
     metric_eval,
     metric_matrix,
     rank_scan,
-    regauged_sigma_ratios,
     relabel,
     triple_coord,
     triples,

@@ -16,9 +16,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
-from .cover import CirclePoint, _branch, circle_cover, cover_derivative
+from .cover import CirclePoint, _branch, circle_cover
 from .projline import (
     INFINITY,
     ONE,
@@ -66,7 +67,6 @@ __all__ = [
     "metric_eval",
     "relabel",
     "curve_length",
-    "regauged_sigma_ratios",
     "rank_scan",
     "BadIndex",
     "InvalidChart",
@@ -403,23 +403,18 @@ def _check_step(h: float, tol: float | None = None) -> float:
     return h
 
 
-def albanese_jacobian(
-    u: ChartPoint, h: float = 1e-6, method: str = "central"
-) -> np.ndarray:
-    """Jacobian of the circle-lifted triple coordinates at a chart.
+def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of the circle-lifted triple coordinates at a chart.
 
-    Entry (S, m) approximates the partial derivative of the coordinate
-    of triple S with respect to u_m.  "central" takes symmetric
-    finite differences of the cover values, wrapping each difference
-    into the lift nearest the base value; "analytic" uses the chain
-    rule through the cover derivative and the logarithmic derivative of
-    the cross-ratio.
+    Entry (S, m) approximates the partial derivative of the coordinate of
+    triple S with respect to u_m by symmetric differences of the cover
+    values, each wrapped into the lift nearest the base value.
 
     Raises SeamTooClose unless every triple ratio is more than 10 h
     (chordal) from a marked point, where the stencil could straddle a
     seam; colliding coordinates, whose ratios are 0/0 or infinite, are
     refused as well.  Raises ValueError unless h is finite and positive,
-    and InvalidChart (central only) if u + h or u - h rounds back to u.
+    and InvalidChart if u + h or u - h rounds back to u.
     """
     h = _check_step(h)
     trip, bk = _triple_arrays(u.n)
@@ -427,25 +422,56 @@ def albanese_jacobian(
     margin = _chart_margins(base, trip, bk)
     if not margin > 10.0 * h:
         raise SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
-    dim = len(base)
-    if method == "central":
-        return _central_jacobians(base[None], h, trip, bk)[0]
-    if method == "analytic":
-        # For D(p, q) = a_p b_q - a_q b_p, d log|D| / d a_p = b_q / D and
-        # d log|D| / d a_q = -b_p / D; rho = D(0,i) D(j,k) / (D(0,j) D(i,k)).
-        a0, b0, ai, bi, aj, bj, ak, bk = _chart_pairs(base, trip, bk)
+    return _central_jacobians(base[None], h, trip, bk)[0]
+
+
+def _exact_jacobian(u: ChartPoint) -> list[list[Fraction]]:
+    """The Jacobian at exactly the chart u, as rows of Fractions in triple order.
+
+    A float chart is a dyadic rational point, and the cross-ratios and the
+    cover are rational on each branch, so every entry is rational.  For
+    D(p, q) = a_p b_q - a_q b_p, d log|D| / d a_p = b_q / D and
+    d log|D| / d a_q = -b_p / D; rho = D(0,i) D(j,k) / (D(0,j) D(i,k)), and
+    an entry is k'(rho) rho d log rho / d u_m with the cover derivative
+    k' = (den / branch den)^2.  Raises InvalidChart unless 0, the chart
+    values and 1 are pairwise distinct.
+    """
+    vals = [Fraction(0), *map(Fraction, u.u), Fraction(1)]
+    if len(set(vals)) < len(vals):
+        raise InvalidChart("chart coordinates coincide with each other or with 0 or 1")
+    pairs = [(a, 1) for a in vals] + [(Fraction(1), 0)]
+    rows = []
+    for t in triples(u.n):
+        (a0, b0), (ai, bi), (aj, bj), (ak, bk) = pairs[0], *(pairs[p] for p in t)
+        num, den = _cross(a0, b0, ai, bi, aj, bj, ak, bk)
+        if den < 0:
+            num, den = -num, -den
+        scale = (den / _branch(num, den)[2]) ** 2 * num / den
         d0i, djk = _det(a0, b0, ai, bi), _det(aj, bj, ak, bk)
         d0j, dik = _det(a0, b0, aj, bj), _det(ai, bi, ak, bk)
-        num, den = d0i * djk, d0j * dik
-        kprime = np.array([cover_derivative(ProjPoint(p, q)) for p, q in zip(num, den)])
-        grad = np.column_stack(
-            [-b0 / d0i - bk / dik, bk / djk + b0 / d0j, bi / dik - bj / djk]
-        ) * (kprime * num / den)[:, None]
-        idx, moved = _incidence(u.n)
-        jac = np.zeros((len(trip), dim))
-        jac[idx, np.arange(dim)[:, None]] = grad[idx][moved].reshape(dim, -1)
-        return jac
-    raise ValueError(f"unknown method {method!r}")
+        grad = (-b0 / d0i - bk / dik, bk / djk + b0 / d0j, bi / dik - bj / djk)
+        row = [Fraction(0)] * (u.n - 2)
+        for p, g in zip(t, grad):
+            if p <= u.n - 2:
+                row[p - 1] = scale * g
+        rows.append(row)
+    return rows
+
+
+def _exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q of a matrix given as rows of Fractions, by Gaussian elimination."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(c for c, v in enumerate(pivot) if v)
+        for i, r in enumerate(rows):
+            if r[c]:
+                f = r[c] / pivot[c]
+                rows[i] = [x - f * y for x, y in zip(r, pivot)]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+    return rank
 
 
 def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -593,34 +619,6 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     if first_error(out):
         raise first_error(out)
     return sum(out)
-
-
-def regauged_sigma_ratios(u: ChartPoint, h: float = 1e-6) -> list[float]:
-    """Sigma ratios of the same moduli point read in alternative gauges.
-
-    The ratio of smallest to largest singular value of the Jacobian is
-    chart-dependent: a coordinate drawn near the tangent pole stretches
-    one column and can push the ratio below a relative rank tolerance
-    even where the differential is injective.  This helper re-reads the
-    point with each leaf swapped into the infinity anchor slot and
-    returns the observed ratios (the identity gauge first), so a flagged
-    chart can be checked for being a scaling artifact.
-    """
-    n = u.n
-    ratios = []
-    base = chart_embed(u)
-    for m in range(0, n + 1):
-        try:
-            if m == 0:
-                chart = u
-            else:
-                perm = list(range(1, n + 1))
-                perm[m - 1], perm[n - 1] = perm[n - 1], perm[m - 1]
-                chart = chart_coords(relabel(perm, base))
-            ratios.append(float(_rank_and_ratio(albanese_jacobian(chart, h), 0.0)[1]))
-        except (SeamTooClose, InvalidChart):
-            continue
-    return ratios
 
 
 def rank_scan(

@@ -209,7 +209,7 @@ def chordal(p: ProjPoint, q: ProjPoint) -> float:
 
 
 class MobiusMap:
-    """Real 2x2 matrix with nonzero determinant, acting by x -> (ax+b)/(cx+d).
+    """Real 2x2 matrix with finite nonzero determinant, acting by x -> (ax+b)/(cx+d).
 
     Scalar multiples act identically on the projective line.
     """
@@ -221,8 +221,8 @@ class MobiusMap:
         for e in (a, b, c, d):
             if not math.isfinite(e):
                 raise DegenerateMatrix("matrix entries must be finite")
-        if _det(a, c, b, d) == 0.0:
-            raise DegenerateMatrix("matrix has zero determinant")
+        if not math.isfinite(det := _det(a, c, b, d)) or det == 0.0:
+            raise DegenerateMatrix(f"matrix determinant {det!r} is zero or not finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

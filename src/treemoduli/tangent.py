@@ -118,9 +118,9 @@ def su11_conjugate(m: MobiusMap) -> SU11Matrix:
     the coordinate 1/x: applying the result to cayley(p) equals
     cayley applied to the anti-transposed matrix (d, c; b, a) at p.
 
-    Raises DetNotOne when |det - 1| > 1e-10.
+    Raises DetNotOne unless |det - 1| <= 1e-10.
     """
-    if abs(m.det - 1.0) > 1e-10:
+    if not abs(m.det - 1.0) <= 1e-10:
         raise DetNotOne(f"determinant {m.det!r} is not 1")
     u = complex(m.a + m.d, m.c - m.b) / 2.0
     v = complex(m.b + m.c, m.d - m.a) / 2.0

@@ -439,20 +439,77 @@ EXACT_COMMANDS = {
 }
 
 
+# Matrices whose determinant overflows: 1e400 - 1e400 is nan, not 0.
+SU11_NON_FINITE_DET = [["1e200"] * 4, ["1e308"] * 4]
+
+
+def det_one_entries(rng):
+    """Entries a, b, c and d = (1 + b c) / a of a matrix of determinant 1, up to rounding."""
+    pool = (1e308, -1e308, 1e154, 5e-324, -1e-300, 1 / 3)
+    a, b, c = (rng.choice(pool) if rng.random() < 0.25 else rng.uniform(-4, 4) for _ in range(3))
+    return [repr(v) for v in (a, b, c, (1 + b * c) / a)]
+
+
 @pytest.mark.parametrize("cmd", EXACT_COMMANDS, ids=" ".join)
 def test_exit_codes_of_exact_commands(cmd, capsys):
     rng = random.Random(" ".join(cmd))
     ints = ("0", "3", "-2", "10000000000000000000000", "1.5", "abc")
+    draws = []
     for _ in range(500):
         args = [rng.choice(TOKENS) for _ in range(EXACT_COMMANDS[cmd])]
         if cmd == ("group", "mul"):
             args[0] = rng.choice(ints)
+        draws.append(args)
+    if cmd == ("su11",):
+        draws += [det_one_entries(rng) for _ in range(300)] + SU11_NON_FINITE_DET
+    codes = []
+    for args in draws:
         code, out = run(*cmd, *args)
         err = capsys.readouterr().err
         assert code in (0, 2, 3), args
         assert "nan" not in out.lower(), args
         if code:
             assert out == "" and len(err.splitlines()) == 1, args
+        codes.append(code)
+    if cmd == ("su11",):
+        assert codes[500:-2].count(0) >= 150  # most draws of determinant 1 are accepted
+        assert all(codes[-2:])
+
+
+# Chart fields and steps for the chart-path commands: seams, the float range's
+# ends and beyond, nan, infinity, junk and an empty field.
+CHART_TOKENS = ("0", "-1", "1", "0.3", "0.5", "2", "1e308", "5e-324", "1e-300", "1e400", "nan", "inf", "abc", "")
+STEPS = ("1e-6", "1e-3", "0.5", "1e-300", "5e-324", "0", "-1", "1e308", "nan", "inf", "abc")
+
+
+@pytest.mark.parametrize("cmd", ["metric", "curve-length"])
+def test_exit_codes_of_chart_commands(cmd, tmp_path, capsys):
+    rng = random.Random(cmd)
+    path = tmp_path / "rows.csv"
+
+    def field():
+        return rng.choice(CHART_TOKENS) if rng.random() < 0.4 else repr(round(rng.uniform(-3, 3), 2))
+
+    # a refused curve-length path bisects to the split cap and evaluates each refused chart
+    # alone, about a second per path: fewer draws
+    for _ in range(200 if cmd == "metric" else 40):
+        dim = rng.randint(1, 3)
+        rows = [",".join(field() for _ in range(dim)) for _ in range(rng.randint(2, 3))]
+        if cmd == "metric":
+            argv = [cmd, "--chart", rows[0]]
+        else:
+            path.write_text("\n".join(rows) + "\n")
+            argv = [cmd, "--input", str(path)]
+        if rng.random() < 0.5:
+            argv += ["--h", rng.choice(STEPS)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, rows)
+        assert "nan" not in out.lower() and "inf" not in out.lower(), (argv, rows)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, (argv, rows)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from treemoduli.moduli import (
     metric_eval,
     metric_matrix,
     rank_scan,
-    regauged_sigma_ratios,
     relabel,
     triple_coord,
     triples,
@@ -36,6 +36,8 @@ from treemoduli.moduli import (
     _chart_margins,
     _chart_ratios,
     _cover_values,
+    _exact_jacobian,
+    _exact_rank,
     _incidence,
     _rank_and_ratio,
     _seam_margin,
@@ -338,9 +340,33 @@ def test_jacobian_central_vs_analytic():
     rng = np.random.default_rng(5)
     for _ in range(100):
         u = random_chart(rng, 4)
-        fd = albanese_jacobian(u, method="central")
-        an = albanese_jacobian(u, method="analytic")
+        fd = albanese_jacobian(u)
+        an = np.array(_exact_jacobian(u), dtype=float)
         assert np.allclose(fd, an, rtol=1e-5, atol=1e-8 * np.abs(an).max())
+
+
+def test_exact_rank_of_constructed_matrices():
+    third = Fraction(1, 3)
+    rows = [[third, Fraction(2), Fraction(-1)], [Fraction(1), Fraction(6), Fraction(-3)]]
+    assert _exact_rank(rows + [[a + b for a, b in zip(*rows)]]) == 1
+    assert _exact_rank(rows + [[Fraction(0), Fraction(1), Fraction(0)]]) == 2
+    assert _exact_rank([[Fraction(0)] * 3] * 4) == 0
+    assert _exact_rank([]) == 0
+    # a perturbation far below float resolution still raises the rank
+    tiny = Fraction(1, 2**2000)
+    assert _exact_rank([[Fraction(1), third], [Fraction(3), 1 + tiny]]) == 2
+    assert _exact_rank([[Fraction(1), third], [Fraction(3), Fraction(1)]]) == 1
+
+
+@pytest.mark.parametrize("u", [(0.3, 0.3), (0.0, 0.5), (1.0, 0.5)])
+def test_exact_jacobian_refuses_colliding_points(u):
+    with pytest.raises(InvalidChart):
+        _exact_jacobian(ChartPoint(u))
+
+
+def test_exact_jacobian_at_n3_is_the_cover_derivative():
+    # one triple, ratio u_1 on (0, 1), where the circle cover is the identity
+    assert _exact_jacobian(ChartPoint((0.375,))) == [[Fraction(1)]]
 
 
 def loop_jacobian(u, h=1e-6):
@@ -396,8 +422,8 @@ def test_step_below_chart_resolution_is_refused(h):
         rank_scan(4, 5, h=h)
     with pytest.raises(InvalidChart):
         curve_length([ChartPoint((0.3, 0.5)), ChartPoint((0.6, 0.5))], h)
-    # the analytic Jacobian takes no step
-    assert albanese_jacobian(ChartPoint((0.3, 0.5)), h, method="analytic").any()
+    # the exact Jacobian takes no step
+    assert any(any(row) for row in _exact_jacobian(ChartPoint((0.3, 0.5))))
 
 
 def test_triple_table_is_cached_and_read_only():
@@ -951,14 +977,12 @@ def test_rank_scan_tolerance_in_unit_interval(tol):
         rank_scan(4, 5, tol=tol)
 
 
-def test_regauged_sigma_ratios_expose_chart_scaling():
-    # a coordinate near the tangent pole depresses the sigma ratio in
-    # the drawn gauge; swapping it into the infinity anchor recovers it
+def test_low_sigma_ratio_chart_is_exactly_full_rank():
+    # a coordinate near the tangent pole depresses the float sigma ratio
+    # below the rank tolerance, yet the differential there is injective
     u = ChartPoint((-1.9402308244564916, 1039.0048485204481, 0.04369664961997496))
-    ratios = regauged_sigma_ratios(u)
-    assert len(ratios) >= 2
-    assert ratios[0] < 1e-6
-    assert max(ratios) > 1e-4
+    assert _rank_and_ratio(albanese_jacobian(u), 0.0)[1] < 1e-6
+    assert _exact_rank(_exact_jacobian(u)) == 3
 
 
 def test_rank_scan_schema_and_preconditions():

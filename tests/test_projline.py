@@ -136,6 +136,11 @@ def test_degenerate_matrix_rejected():
         MobiusMap(1.0, 2.0, 2.0, 4.0)
     with pytest.raises(DegenerateMatrix):
         MobiusMap(math.inf, 0.0, 0.0, 1.0)
+    # finite entries whose products overflow: the determinant is inf - inf = nan, then inf + inf
+    with pytest.raises(DegenerateMatrix):
+        MobiusMap(1e200, 1e200, 1e200, 1e200)
+    with pytest.raises(DegenerateMatrix):
+        MobiusMap(1e200, -1e200, 1e200, 1e200)
 
 
 def test_compose_is_apply_after():

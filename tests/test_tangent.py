@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,10 @@ def test_su11_unit_defect():
 def test_su11_requires_det_one():
     with pytest.raises(DetNotOne):
         su11_conjugate(MobiusMap(2.0, 0.0, 0.0, 1.0))
+    # a NaN determinant is not within any tolerance of 1
+    nan_det = SimpleNamespace(a=1.0, b=0.0, c=0.0, d=1.0, det=math.nan)
+    with pytest.raises(DetNotOne):
+        su11_conjugate(nan_det)
 
 
 def test_su11_rotation_orbits():
