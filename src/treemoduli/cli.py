@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "su11", "SU(1,1) form of a det-1 matrix")
     p.add_argument("entries", nargs=4, type=float, metavar=("A", "B", "C", "D"))
 
-    p = _command(sub, "albanese", "all triple coordinates")
+    p = _command(sub, "albanese", "all triple coordinates").add_mutually_exclusive_group(required=True)
     p.add_argument("--points", dest="points_json", help="configuration as inline JSON")
     p.add_argument("--input", help="configuration JSON file")
     p = _command(sub, "metric", "averaged metric at a chart")
@@ -175,12 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_configuration(args) -> moduli.Configuration:
-    if args.points_json:
+    if args.input is None:
         return moduli.Configuration.from_json(json.loads(args.points_json))
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            return moduli.Configuration.from_json(json.load(fh))
-    raise ParseError("albanese needs --points or --input")
+    with open(args.input, encoding="utf-8") as fh:
+        return moduli.Configuration.from_json(json.load(fh))
 
 
 def _parse_chart(text: str) -> moduli.ChartPoint:

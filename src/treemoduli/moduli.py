@@ -329,19 +329,31 @@ def _seam_margin(rho: np.ndarray) -> np.ndarray:
     return np.min(np.minimum(np.minimum(d0, d1), dinf), axis=-1)
 
 
-def _chart_margins(U: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
-    """Seam margin of each chart on the last axis of U; NaN where coordinates collide.
-
-    Colliding or huge coordinates make 0/0, x/0 and overflowing products,
-    so numpy's warnings are silenced: the caller refuses any margin that
-    is not above its bound, NaN included.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _seam_margin(_chart_ratios(U, trip, bk))
-
-
 def _wrap(d: np.ndarray) -> np.ndarray:
     return (d + 0.5) % 1.0 - 0.5
+
+
+def _refusals(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> dict:
+    """The error metric_matrix raises at each refused row of a chart block U (m, dim), by row index.
+
+    Every stencil's one rule, in order: InvalidChart for a non-finite coordinate;
+    SeamTooClose unless the seam margin (NaN at colliding coordinates) is above
+    10 h, so no stencil straddles a seam; InvalidChart where u + h, else u - h, rounds to u.
+    """
+    finite = np.isfinite(U).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # colliding or huge coordinates
+        margin = _seam_margin(_chart_ratios(U, trip, bk))
+        up, down = U + h == U, U - h == U
+    seam, out = ~(margin > 10.0 * h), {}
+    for i in np.flatnonzero(~finite | seam | up.any(axis=-1) | down.any(axis=-1)).tolist():
+        if not finite[i]:
+            out[i] = InvalidChart("chart coordinates must be finite")
+        elif seam[i]:
+            out[i] = SeamTooClose(f"seam margin {margin[i]:.3e} is not above 10 h = {10 * h:.3e}")
+        else:
+            r = np.flatnonzero(up[i] if up[i].any() else down[i])[0]
+            out[i] = InvalidChart(f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(U[i, r])!r}")
+    return out
 
 
 def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -352,20 +364,14 @@ def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray
     in one cross-ratio and cover evaluation per sign.  Each entry is the
     same float operations as perturbing one chart and one coordinate at a
     time, and every other entry is an exact zero, as there.  Each
-    difference is wrapped into the lift nearest the base value.  The
-    caller checks the seam margin; InvalidChart if h is below the
-    resolution of some coordinate, so that u + h or u - h rounds to u.
+    difference is wrapped into the lift nearest the base value.  U holds
+    only rows that _refusals passes.
     """
     m, dim = U.shape
     idx, moved = _incidence(dim + 2)
     _, _, ai, _, aj, _, ak, bks = _chart_pairs(U, trip[idx], bk[idx])
     t = []
     for v in (U + h, U - h):
-        if (v == U).any():
-            c, r = np.argwhere(v == U)[0]
-            raise InvalidChart(
-                f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(U[c, r])!r}"
-            )
         v = v[:, :, None]
         num, den = _cross(
             0.0, 1.0,
@@ -410,19 +416,16 @@ def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
     triple S with respect to u_m by symmetric differences of the cover
     values, each wrapped into the lift nearest the base value.
 
-    Raises SeamTooClose unless every triple ratio is more than 10 h
-    (chordal) from a marked point, where the stencil could straddle a
-    seam; colliding coordinates, whose ratios are 0/0 or infinite, are
-    refused as well.  Raises ValueError unless h is finite and positive,
-    and InvalidChart if u + h or u - h rounds back to u.
+    Raises ValueError unless h is finite and positive, and the error of
+    _refusals at a refused chart: SeamTooClose within 10 h (chordal) of a
+    seam or at colliding coordinates, InvalidChart if u +- h rounds to u.
     """
     h = _check_step(h)
     trip, bk = _triple_arrays(u.n)
-    base = u.as_array()
-    margin = _chart_margins(base, trip, bk)
-    if not margin > 10.0 * h:
-        raise SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
-    return _central_jacobians(base[None], h, trip, bk)[0]
+    base = u.as_array()[None]
+    if err := _refusals(base, h, trip, bk).get(0):
+        raise err
+    return _central_jacobians(base, h, trip, bk)[0]
 
 
 def _exact_jacobian(u: ChartPoint) -> list[list[Fraction]]:
@@ -543,11 +546,12 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     Segments whose midpoint is too close to a seam are bisected; at the
     split-depth cap the metric is evaluated one-sidedly at the first of
     the points 1/4, 3/4, 1/10, 9/10, 0 and 1 of the way along the piece
-    with enough seam margin, or else the midpoint's SeamTooClose stands.  An InvalidChart is never bisected.
-    The pieces of one split depth, and then the fallback points at the
-    cap, are evaluated together in blocks, one seam check and one stencil
-    per block, with the same bits as one metric_matrix call each.  The
-    first failing piece in path order raises its error.
+    with enough seam margin, or else the midpoint's SeamTooClose stands.
+    An InvalidChart is never bisected.  The pieces of one split depth, and
+    then the fallback points at the cap, are evaluated in blocks, one
+    _refusals screen and one stencil per block, with the bits and errors
+    of one metric_matrix call each.  The first failing piece in path order
+    raises its error.
     """
     h = _check_step(h)
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
@@ -558,6 +562,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
         raise DimensionMismatch("samples must share one chart dimension")
     P = np.array(pts)
     dim = P.shape[1]
+    trip, bk = _triple_arrays(dim + 2)
     block = max(1, _PATH_BUDGET // max(1, math.comb(dim + 2, 3) * dim))
 
     def first_error(values):
@@ -565,21 +570,12 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
 
     def metrics(U: np.ndarray) -> list:
         """What metric_matrix gives at each row of U: the matrix, or the error it raises."""
-        out = [None] * len(U)
-        for s in range(0, len(U), block):
-            trip, bk = _triple_arrays(dim + 2)
-            V = U[s:s + block]
-            ok = np.flatnonzero(np.isfinite(V).all(axis=1) & (_chart_margins(V, trip, bk) > 10.0 * h))
-            try:
-                for i, jac in zip(s + ok, _central_jacobians(V[ok], h, trip, bk)):
-                    out[i] = _pullback(jac)
-            except InvalidChart:
-                pass  # each row of this block is evaluated alone below
-        for i in [i for i, g in enumerate(out) if g is None]:
-            try:
-                out[i] = metric_matrix(ChartPoint(tuple(U[i])), h)
-            except (SeamTooClose, InvalidChart) as err:
-                out[i] = err.with_traceback(None)  # kept as a value: no cycle through this frame
+        out = []
+        for V in (U[s:s + block] for s in range(0, len(U), block)):
+            got = _refusals(V, h, trip, bk)
+            ok = [i for i in range(len(V)) if i not in got]
+            got.update(zip(ok, map(_pullback, _central_jacobians(V[ok], h, trip, bk))))
+            out += [got[i] for i in range(len(V))]
         return out
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> list:
@@ -588,6 +584,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
         for s in range(0, len(A), block):
             a, b = A[s:s + block], B[s:s + block]
             du, mid = b - a, 0.5 * (a + b)
+            mid = np.where(np.isinf(mid), 0.5 * a + 0.5 * b, mid)  # a + b overflowed; halving is exact there
             live = np.flatnonzero(du.any(axis=1))
             got = [0.0] * len(a)
             for i, g in zip(live, metrics(mid[live])):
@@ -663,8 +660,13 @@ def rank_scan(
         state, r = pcg64_doubles(state, inc, dim)
         return state, np.tan(np.pi * (r + 0.25))
 
-    def accepted(U: np.ndarray) -> np.ndarray:
-        return np.isfinite(U).all(axis=-1) & (_chart_margins(U, trip, bk) > 10.0 * h)
+    def redraws(U: np.ndarray) -> np.ndarray:
+        """Rows of U refused for a seam or a non-finite coordinate; a row the step does not move raises."""
+        refused = _refusals(U, h, trip, bk)
+        for i, err in refused.items():
+            if isinstance(err, InvalidChart) and np.isfinite(U[i]).all():
+                raise err
+        return np.array(list(refused), dtype=int)
 
     def blocks():
         """(trials, charts) per block; each rejected chart is redrawn from its own stream."""
@@ -674,11 +676,11 @@ def rank_scan(
             state, drawn = draw(state, inc)
             for b0 in range(0, len(chunk), _SCAN_BLOCK):
                 U = drawn[b0:b0 + _SCAN_BLOCK]
-                rows, tries = np.flatnonzero(~accepted(U)), 1
+                rows, tries = redraws(U), 1
                 while len(rows) and tries < reject_cap:
                     i = b0 + rows
                     state[i], U[rows] = draw(state[i], inc[i])
-                    rows, tries = rows[~accepted(U[rows])], tries + 1
+                    rows, tries = rows[redraws(U[rows])], tries + 1
                 if len(rows):
                     raise SeamTooClose(
                         f"trial {chunk[b0 + rows[0]]}: no draw with seam margin above 10 h in {reject_cap} tries"

@@ -347,6 +347,42 @@ def test_exit_code_albanese_json_shape(text, source, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("treemoduli: ")
 
 
+# albanese reads exactly one of --points and --input; each case names what its
+# one stderr line must say.
+ALBANESE_SOURCES = {
+    "both": "not allowed with argument",
+    "neither": "one of the arguments --points --input is required",
+    "missing": "No such file or directory",
+    "empty": "Expecting value",
+    "non-utf8": "can't decode byte 0xff",
+    "directory": "Is a directory",
+}
+
+
+@pytest.mark.parametrize("case", ALBANESE_SOURCES)
+def test_exit_codes_of_albanese_sources(case, tmp_path, capsys):
+    rng = random.Random(case)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        doc = json.dumps({"n": n, "points": [0, "inf", *rng.sample(range(1, 1000), n - 1)]})
+        good.write_text(doc)
+        read = run("albanese", "--points", doc)
+        assert read[0] == 0 and read == run("albanese", "--input", str(good))
+        bad.write_bytes(doc.encode("utf-16") if case == "non-utf8" else b"")
+        argv = {
+            "both": rng.choice([("--points", doc, "--input", str(good)), ("--input", str(good), "--points", doc)]),
+            "neither": (),
+            "missing": ("--input", str(tmp_path / "missing.json")),
+            "directory": ("--input", str(tmp_path)),
+        }.get(case, ("--input", str(bad)))
+        capsys.readouterr()
+        code, out = run("albanese", *argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert ALBANESE_SOURCES[case] in err, err
+
+
 def test_albanese_three_coincident_points_exit_3(capsys):
     # root 0 and the leaves 2, [4 : 2], [-2 : -1]: one point three times
     assert run("albanese", "--points", '{"points": [0, 2, [4, 2], [-2, -1]]}') == (3, "")
@@ -490,9 +526,7 @@ def test_exit_codes_of_chart_commands(cmd, tmp_path, capsys):
     def field():
         return rng.choice(CHART_TOKENS) if rng.random() < 0.4 else repr(round(rng.uniform(-3, 3), 2))
 
-    # a refused curve-length path bisects to the split cap and evaluates each refused chart
-    # alone, about a second per path: fewer draws
-    for _ in range(200 if cmd == "metric" else 40):
+    for _ in range(200):
         dim = rng.randint(1, 3)
         rows = [",".join(field() for _ in range(dim)) for _ in range(rng.randint(2, 3))]
         if cmd == "metric":
@@ -623,17 +657,19 @@ def test_exit_code_non_finite_chart_token(cmd, arg, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rows",
-    ["1e308,2\n1.7e308,2\n", "-1.7e308,2\n1.7e308,2\n", "0.3,2\n1e300,2\n"],
+    ["1e308,2\n1.7e308,2\n", "-1.7e308,2\n1.7e308,2\n", "0.3,2\n1e300,2\n", "1e308,2.72\n0.3,-1\n"],
 )
 def test_curve_length_overflow_reports_one_line(rows, tmp_path, capsys):
-    # midpoints, steps and du^T G du overflow; only the typed error is printed
+    # a + b, steps and du^T G du overflow; only the typed error is printed.  Every
+    # midpoint stays finite, so the refusal names a seam margin, not a non-finite chart.
     path = tmp_path / "huge.csv"
     path.write_text(rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run("curve-length", "--input", str(path))
     assert code == 3 and out == ""
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("treemoduli: seam margin "), err
 
 
 @pytest.mark.parametrize("path", [GOLDEN / "seam_path.csv", None])

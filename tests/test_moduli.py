@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,13 +34,13 @@ from treemoduli.moduli import (
 )
 from treemoduli.moduli import (
     _central_jacobians,
-    _chart_margins,
     _chart_ratios,
     _cover_values,
     _exact_jacobian,
     _exact_rank,
     _incidence,
     _rank_and_ratio,
+    _refusals,
     _seam_margin,
     _triple_arrays,
     _wrap,
@@ -413,6 +414,46 @@ def test_incidence_table_lists_the_triples_of_each_point():
             idx[0, 0] = 0
 
 
+# One block of charts at n = 4 and h = 1e-16, and the error each row is refused
+# with, or None.  The checks run in order: a non-finite coordinate, then the
+# seam margin (colliding coordinates included), then a step that does not
+# move a coordinate, u + h before u - h.
+REFUSAL_ROWS = [
+    ((0.3, 0.6), None),
+    ((1e-300, 0.5), (SeamTooClose, "seam margin 1.000e-300 is not above 10 h = 1.000e-15")),
+    ((0.3, 0.3), (SeamTooClose, "seam margin 0.000e+00 is not above 10 h = 1.000e-15")),
+    ((0.0, 0.5), (SeamTooClose, "seam margin 0.000e+00 is not above 10 h = 1.000e-15")),
+    ((1.0, 0.5), (SeamTooClose, "seam margin nan is not above 10 h = 1.000e-15")),
+    ((2.0, 2.0), (SeamTooClose, "seam margin 0.000e+00 is not above 10 h = 1.000e-15")),
+    ((math.nan, 0.5), (InvalidChart, "chart coordinates must be finite")),
+    ((math.inf, 2.0), (InvalidChart, "chart coordinates must be finite")),
+    ((0.3, -math.inf), (InvalidChart, "chart coordinates must be finite")),
+    ((2.0, 0.3), (InvalidChart, "step h = 1.000e-16 does not move chart coordinate 1 = 2.0")),
+    ((0.3, 2.5), (InvalidChart, "step h = 1.000e-16 does not move chart coordinate 2 = 2.5")),
+    # -1 + 1e-16 rounds away from -1, -1 - 1e-16 back to it
+    ((-1.0, 0.3), (InvalidChart, "step h = 1.000e-16 does not move chart coordinate 1 = -1.0")),
+    ((-1.0, 2.0), (InvalidChart, "step h = 1.000e-16 does not move chart coordinate 2 = 2.0")),
+    ((0.6, 0.3), None),
+]
+
+
+def test_refusals_of_a_mixed_block():
+    def outcome(err):
+        return None if err is None else (type(err), str(err))
+
+    trip, bk = _triple_arrays(4)
+    U = np.array([u for u, _ in REFUSAL_ROWS])
+    got = _refusals(U, 1e-16, trip, bk)
+    assert list(got) == [i for i, (_, want) in enumerate(REFUSAL_ROWS) if want]
+    for i, (u, want) in enumerate(REFUSAL_ROWS):
+        assert outcome(got.get(i)) == want, u
+        assert outcome(_refusals(U[i:i + 1], 1e-16, trip, bk).get(0)) == want, u  # alone, alike
+        if want and all(map(math.isfinite, u)):
+            with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
+                metric_matrix(ChartPoint(u), 1e-16)
+    assert _refusals(U[:0], 1e-16, trip, bk) == {}
+
+
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
 def test_step_below_chart_resolution_is_refused(h):
     # u + h rounds back to u: the stencil would be all zeros
@@ -610,6 +651,7 @@ def loop_curve_length(samples, h=1e-6, max_splits=12):
         if not du.any():
             return 0.0
         mid = 0.5 * (a + b)
+        mid = np.where(np.isinf(mid), 0.5 * a + 0.5 * b, mid)  # as curve_length forms it
         try:
             g = metric_matrix(ChartPoint(tuple(mid)), h)
         except SeamTooClose:
@@ -725,14 +767,19 @@ def test_curve_length_raises_the_first_failing_segment():
         curve_length(rows, h=1e-300)
     assert str(got.value) == str(ref.value)
     assert "coordinate 1 = 0.95" in str(got.value)
-    # a later non-finite midpoint does not mask an earlier failed fallback
+    # a later refused segment does not mask an earlier failed fallback
     rows = [[1.0 - 1e-7, 2.0], [1.0 + 1e-7, 2.0], [1e308, 2.0], [1.7e308, 2.0]]
     with pytest.raises(SeamTooClose):
         loop_curve_length(rows, max_splits=0)
-    with np.errstate(over="ignore"), pytest.raises(SeamTooClose):
+    with pytest.raises(SeamTooClose):
         curve_length(rows, max_splits=0)
-    with np.errstate(over="ignore"), pytest.raises(InvalidChart, match="finite"):
+    # a + b overflows on the last segment, yet every midpoint is finite: the
+    # pieces near 1.7e308 are refused for their seam margin
+    with np.errstate(over="ignore"), pytest.raises(SeamTooClose) as ref:
+        loop_curve_length(rows[2:])
+    with pytest.raises(SeamTooClose, match=r"^seam margin 0\.000e\+00 ") as got:
         curve_length(rows[2:])
+    assert str(got.value) == str(ref.value)
 
 
 # Seam values of a chart coordinate (the gauge points 0 and 1 and just off
@@ -789,12 +836,19 @@ def test_curve_length_along_a_seam_stops_after_the_first_failing_block(monkeypat
     with pytest.raises(SeamTooClose) as ref:
         loop_curve_length(rows, max_splits=8)
     refused = []
-    metric = mod.metric_matrix
-    monkeypatch.setattr(mod, "metric_matrix", lambda u, h: refused.append(u) or metric(u, h))
+    screen = mod._refusals
+
+    def recording(U, h, trip, bk):
+        got = screen(U, h, trip, bk)
+        refused.extend(got.values())
+        return got
+
+    monkeypatch.setattr(mod, "_refusals", recording)
     with pytest.raises(SeamTooClose) as got:
         curve_length(rows, max_splits=8)
     assert str(got.value) == str(ref.value)
-    assert len(refused) < 3000  # 140 pieces, 6 blocks of 102 and 6 * 102 fallback points
+    # 140 pieces, 6 blocks of 102 and 6 * 102 fallback points
+    assert 0 < len(refused) < 3000
 
 
 # -- rank scan ----------------------------------------------------------------------------
@@ -885,7 +939,8 @@ def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
         return np.tan(np.pi * (rng.random(dim) + 0.25))
 
     def accepted(U):
-        return np.isfinite(U).all(axis=-1) & (_chart_margins(U, trip, bk) > 10.0 * h)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.isfinite(U).all(axis=-1) & (_seam_margin(_chart_ratios(U, trip, bk)) > 10.0 * h)
 
     full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
     for k0 in range(0, trials, 16):
