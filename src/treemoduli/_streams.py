@@ -2,8 +2,8 @@
 
 Trial k of a scan with seed s draws the doubles of NumPy's default
 generator seeded with [s, k], a PCG64 stream under SeedSequence, bit for
-bit.  Here they come from integer arrays, one expression per step for a
-whole chunk of trials, with no generator object per trial and no
+bit.  Here they come from integer arrays, one expression for every step
+of a whole chunk of trials, with no generator object per trial and no
 numpy.random import.  Only rank_scan imports this module, so commands
 that never scan do not compile it.
 """
@@ -70,13 +70,16 @@ def pcg64_streams(seed: int, ks) -> tuple[np.ndarray, np.ndarray]:
 def pcg64_doubles(state: np.ndarray, inc: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The next count doubles of each PCG64 stream, as an (m, count) array, and the advanced states.
 
-    One LCG step, the XSL-RR output and (x >> 11) * 2**-53 per double:
-    Generator.random's bits.
+    c LCG steps take a state s to s * M**c + inc * (M**(c-1) + ... + 1)
+    mod 2**128, so every step of every stream is one expression; then the
+    XSL-RR output and (x >> 11) * 2**-53 per double: Generator.random's bits.
     """
-    out = np.empty((len(state), count))
-    for c in range(count):
-        state = (state * _PCG_MULT + inc) & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        out[:, c] = ((x >> rot | x << 64 - rot) & _M64) >> 11
-    return state, out * 2.0**-53
+    a, b, mults, sums = 1, 0, [], []
+    for _ in range(count):
+        a, b = a * _PCG_MULT & _M128, (b * _PCG_MULT + 1) & _M128
+        mults.append(a)
+        sums.append(b)
+    states = (state[:, None] * np.array(mults, object) + inc[:, None] * np.array(sums, object)) & _M128
+    x = (states >> 64 ^ states) & _M64
+    rot = states >> 122
+    return states[:, -1], (((x >> rot | x << 64 - rot) & _M64) >> 11).astype(float) * 2.0**-53

@@ -266,39 +266,37 @@ def _triple_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _incidence(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triples that contain each chart point, and where they hold it.
+    """Triples that contain each chart point, and the stencil's gather table.
 
     Row r of the (n - 2, K) index table lists, in triple order, the
     K = C(n - 1, 2) triples that contain point r + 1, the point of chart
-    coordinate r; the (n - 2, K, 3) mask marks the slot holding it.  No
-    other triple ratio depends on that coordinate.  Cached and read-only.
+    coordinate r; no other triple ratio depends on that coordinate.  Entry
+    (slot, sign, r, k) of the (3, 2, n - 2, K) gather table is the row, in a
+    block's value table [0, u_1 .. u_{n-2}, 1, 1, u_1 + h .. u_{n-2} + h,
+    u_1 - h .. u_{n-2} - h], of that slot's point of triple idx[r, k], with
+    point r + 1 moved by +h or -h.  Cached and read-only.
     """
     t = _triple_arrays(n)[0]
-    pts = np.arange(1, n - 1)[:, None]
-    idx = np.array([np.flatnonzero((t == p).any(axis=1)) for p in pts[:, 0]])
-    moved = t[idx] == pts[:, :, None]
-    idx.flags.writeable = moved.flags.writeable = False
-    return idx, moved
+    pts = np.arange(1, n - 1)
+    idx = np.array([np.flatnonzero((t == p).any(axis=1)) for p in pts])
+    slots = t[idx].transpose(2, 0, 1)[:, None]
+    moved = n + pts[:, None] + np.arange(2)[:, None, None] * (n - 2)
+    gather = np.where(slots == pts[:, None], moved, slots)
+    idx.flags.writeable = gather.flags.writeable = False
+    return idx, gather
 
 
-def _chart_pairs(u: np.ndarray, trip: np.ndarray, bk: np.ndarray):
-    """Homogeneous pairs of (x_0, x_i, x_j, x_k) for every triple, on the last axis.
+def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Cross-ratios of all triples at a chart, as affine values, on the last axis.
 
-    In the standard gauge x_0 = [0 : 1], x_m = [u_m : 1], x_{n-1} = [1 : 1]
-    and x_n = [1 : 0]; only the last point of a triple can be x_n.  Leading
+    The same determinant formula as the exact path's cross_ratio, on the
+    standard gauge x_0 = [0 : 1], x_m = [u_m : 1], x_{n-1} = [1 : 1] and
+    x_n = [1 : 0]; only the last point of a triple can be x_n.  Leading
     axes of u are batch axes.
     """
     lead = u.shape[:-1]
     a = np.concatenate([np.zeros(lead + (1,)), u, np.ones(lead + (2,))], axis=-1)
-    return 0.0, 1.0, a[..., trip[..., 0]], 1.0, a[..., trip[..., 1]], 1.0, a[..., trip[..., 2]], bk
-
-
-def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
-    """Cross-ratios of all triples at a chart, as affine values.
-
-    The same determinant formula as the exact path's cross_ratio.
-    """
-    num, den = _cross(*_chart_pairs(u, trip, bk))
+    num, den = _cross(0.0, 1.0, a[..., trip[..., 0]], 1.0, a[..., trip[..., 1]], 1.0, a[..., trip[..., 2]], bk)
     return num / den
 
 
@@ -310,14 +308,8 @@ def _cover_values(rho: np.ndarray) -> np.ndarray:
     every one-ulp change of a value by 2 h, so other rounding would move
     the printed Jacobian-derived output.
     """
-    t = np.empty_like(rho)
-    neg = rho < 0.0
-    mid = (rho >= 0.0) & (rho <= 1.0)
-    up = rho > 1.0
-    t[neg] = 1.0 / (1.0 - rho[neg])
-    t[mid] = rho[mid]
-    t[up] = 1.0 - 1.0 / rho[up]
-    return t
+    with np.errstate(divide="ignore", over="ignore"):  # the branches not taken
+        return np.where(rho < 0.0, 1.0 / (1.0 - rho), np.where(rho <= 1.0, rho, 1.0 - 1.0 / rho))
 
 
 def _seam_margin(rho: np.ndarray) -> np.ndarray:
@@ -330,7 +322,9 @@ def _seam_margin(rho: np.ndarray) -> np.ndarray:
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
-    return (d + 0.5) % 1.0 - 0.5
+    """(d + 0.5) % 1.0 - 0.5 bit for bit for d in [-1, 1], where the modulo is a shift by 1 (exact)."""
+    x = d + 0.5
+    return np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x)) - 0.5
 
 
 def _refusals(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> dict:
@@ -360,28 +354,22 @@ def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray
     """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
 
     Column r moves coordinate r by +h and -h and evaluates only the
-    C(n - 1, 2) triples that contain its point, all columns of all charts
-    in one cross-ratio and cover evaluation per sign.  Each entry is the
-    same float operations as perturbing one chart and one coordinate at a
-    time, and every other entry is an exact zero, as there.  Each
-    difference is wrapped into the lift nearest the base value.  U holds
-    only rows that _refusals passes.
+    C(n - 1, 2) triples that contain its point: one gather, through the
+    table of _incidence, from the block's values, then one cross-ratio and
+    cover evaluation for both signs of all columns of all charts.  Each entry is the same float
+    operations as perturbing one chart and one coordinate at a time, and
+    every other entry is an exact zero, as there.  Each difference is
+    wrapped into the lift nearest the base value.  U holds only rows that
+    _refusals passes.
     """
     m, dim = U.shape
-    idx, moved = _incidence(dim + 2)
-    _, _, ai, _, aj, _, ak, bks = _chart_pairs(U, trip[idx], bk[idx])
-    t = []
-    for v in (U + h, U - h):
-        v = v[:, :, None]
-        num, den = _cross(
-            0.0, 1.0,
-            np.where(moved[..., 0], v, ai), 1.0,
-            np.where(moved[..., 1], v, aj), 1.0,
-            np.where(moved[..., 2], v, ak), bks,
-        )
-        t.append(_cover_values(num / den))
+    idx, gather = _incidence(dim + 2)
+    V = U.T
+    ai, aj, ak = np.concatenate([np.zeros((1, m)), V, np.ones((2, m)), V + h, V - h])[gather]
+    num, den = _cross(0.0, 1.0, ai, 1.0, aj, 1.0, ak, bk[idx][..., None])
+    t = _cover_values(num / den)
     jac = np.zeros((m, len(trip), dim))
-    jac[:, idx, np.arange(dim)[:, None]] = _wrap(t[0] - t[1]) / (2.0 * h)
+    jac[:, idx, np.arange(dim)[:, None]] = np.moveaxis(_wrap(t[0] - t[1]) / (2.0 * h), -1, 0)
     return jac
 
 
@@ -656,31 +644,56 @@ def rank_scan(
     trip, bk = _triple_arrays(n)
     dim = n - 2
 
-    def draw(state: np.ndarray, inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        state, r = pcg64_doubles(state, inc, dim)
-        return state, np.tan(np.pi * (r + 0.25))
+    def draw(state: np.ndarray, inc: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next count charts of each stream, as a (count, streams, dim) array in try order."""
+        state, r = pcg64_doubles(state, inc, count * dim)
+        return state, np.tan(np.pi * (r + 0.25)).reshape(len(inc), count, dim).swapaxes(0, 1)
 
-    def redraws(U: np.ndarray) -> np.ndarray:
-        """Rows of U refused for a seam or a non-finite coordinate; a row the step does not move raises."""
-        refused = _refusals(U, h, trip, bk)
-        for i, err in refused.items():
-            if isinstance(err, InvalidChart) and np.isfinite(U[i]).all():
-                raise err
-        return np.array(list(refused), dtype=int)
+    def first_accepted(V: np.ndarray) -> np.ndarray:
+        """Per stream, the try of its first accepted chart among V (tries, streams, dim), or -1.
+
+        A chart refused for a seam or a non-finite coordinate is redrawn.  Of
+        the charts the step does not move that a stream reaches before its
+        first accepted one, the first by try and then by stream raises.
+        """
+        tries, m = V.shape[:2]
+        refused = _refusals(V.reshape(-1, dim), h, trip, bk)
+        first, stuck = [-1] * m, []
+        for q in range(m):
+            for j in range(tries):
+                err = refused.get(j * m + q)
+                if err is None:
+                    first[q] = j
+                    break
+                if isinstance(err, InvalidChart) and np.isfinite(V[j, q]).all():
+                    stuck.append((j, q, err))
+                    break
+        if stuck:
+            raise min(stuck, key=lambda s: s[:2])[2]
+        return np.array(first)
 
     def blocks():
-        """(trials, charts) per block; each rejected chart is redrawn from its own stream."""
+        """(trials, charts) per block; each rejected chart is redrawn from its own stream.
+
+        A round draws as many charts ahead for each rejected trial as it has
+        tried so far, up to reject_cap tries in all; a stream is not read
+        after its chart is accepted, so this changes no accepted chart.
+        """
         for c0 in range(0, trials, _SCAN_CHUNK):
             chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
             state, inc = pcg64_streams(seed, chunk)
-            state, drawn = draw(state, inc)
+            state, drawn = draw(state, inc, 1)
             for b0 in range(0, len(chunk), _SCAN_BLOCK):
-                U = drawn[b0:b0 + _SCAN_BLOCK]
-                rows, tries = redraws(U), 1
+                U = drawn[0, b0:b0 + _SCAN_BLOCK]
+                rows, tries = np.flatnonzero(first_accepted(U[None]) < 0), 1
                 while len(rows) and tries < reject_cap:
+                    ahead = min(tries, reject_cap - tries)
                     i = b0 + rows
-                    state[i], U[rows] = draw(state[i], inc[i])
-                    rows, tries = rows[redraws(U[rows])], tries + 1
+                    state[i], V = draw(state[i], inc[i], ahead)
+                    got = first_accepted(V)
+                    ok = np.flatnonzero(got >= 0)
+                    U[rows[ok]] = V[got[ok], ok]
+                    rows, tries = rows[got < 0], tries + ahead
                 if len(rows):
                     raise SeamTooClose(
                         f"trial {chunk[b0 + rows[0]]}: no draw with seam margin above 10 h in {reject_cap} tries"

@@ -370,6 +370,23 @@ def test_exact_jacobian_at_n3_is_the_cover_derivative():
     assert _exact_jacobian(ChartPoint((0.375,))) == [[Fraction(1)]]
 
 
+def masked_cover_values(rho):
+    """Reference chart-side cover: the masked three-branch form, one branch per slice."""
+    t = np.empty_like(rho)
+    neg = rho < 0.0
+    mid = (rho >= 0.0) & (rho <= 1.0)
+    up = rho > 1.0
+    t[neg] = 1.0 / (1.0 - rho[neg])
+    t[mid] = rho[mid]
+    t[up] = 1.0 - 1.0 / rho[up]
+    return t
+
+
+def modulo_wrap(d):
+    """Reference wrap into [-1/2, 1/2): numpy's float modulo."""
+    return (d + 0.5) % 1.0 - 0.5
+
+
 def loop_jacobian(u, h=1e-6):
     """Reference central differences: one chart, one coordinate at a time."""
     trip, bk = _triple_arrays(u.n)
@@ -379,15 +396,41 @@ def loop_jacobian(u, h=1e-6):
         up, dn = base.copy(), base.copy()
         up[m] += h
         dn[m] -= h
-        tp = _cover_values(_chart_ratios(up, trip, bk))
-        tm = _cover_values(_chart_ratios(dn, trip, bk))
-        jac[:, m] = _wrap(tp - tm) / (2.0 * h)
+        tp = masked_cover_values(_chart_ratios(up, trip, bk))
+        tm = masked_cover_values(_chart_ratios(dn, trip, bk))
+        jac[:, m] = modulo_wrap(tp - tm) / (2.0 * h)
     return jac
+
+
+def test_cover_values_and_wrap_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    tiny, huge = 5e-324, 1e308
+    rho = np.concatenate([
+        [0.0, -0.0, 1.0, tiny, -tiny, huge, -huge, math.inf, -math.inf],
+        np.nextafter(1.0, [0.0, 2.0]), np.nextafter(0.0, [-1.0, 1.0]),
+        rng.standard_normal(500), rng.standard_cauchy(500), rng.random(500),
+    ])
+    assert _cover_values(rho).tobytes() == masked_cover_values(rho).tobytes()
+    half = np.nextafter(0.5, [0.0, 1.0])
+    d = np.concatenate([
+        [0.5, -0.5, 1.0, -1.0, 0.0, -0.0], half, -half, rng.uniform(-1.0, 1.0, 1000),
+        np.nextafter([-1.0, 1.0], 0.0), np.nextafter([0.5, -0.5], 0.0),
+    ])
+    assert _wrap(d).tobytes() == modulo_wrap(d).tobytes()
+
+
+def test_cover_values_of_nan_ratios_are_nan():
+    rho = np.array([math.nan, 0.5, math.nan, -1.0, math.nan])
+    for fill in (7.0, 0.0):
+        np.full(5, fill)  # freed at once, so the result may reuse its memory
+        got = _cover_values(rho)
+        assert np.isnan(got[[0, 2, 4]]).all()
+        assert list(got[[1, 3]]) == [0.5, 0.5]
 
 
 def test_stacked_central_jacobians_match_per_chart_loop():
     rng = np.random.default_rng(11)
-    for n in (4, 8, 12, 16):
+    for n in (3, 4, 8, 12, 16):
         charts = [random_chart(rng, n) for _ in range(9)]
         trip, bk = _triple_arrays(n)
         stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, trip, bk)
@@ -398,20 +441,28 @@ def test_stacked_central_jacobians_match_per_chart_loop():
             assert np.array_equal(jac, ref)
             assert np.array_equal(np.signbit(jac), np.signbit(ref))
             assert np.array_equal(albanese_jacobian(u), ref)
+        assert _central_jacobians(np.empty((0, n - 2)), 1e-6, trip, bk).shape == (0, len(trip), n - 2)
 
 
-def test_incidence_table_lists_the_triples_of_each_point():
+def test_gather_table_moves_each_point_in_its_own_slot():
     for n in (3, 5, 9):
         trip, _ = _triple_arrays(n)
-        idx, moved = _incidence(n)
-        assert _incidence(n)[0] is idx
-        assert idx.shape == (n - 2, math.comb(n - 1, 2))
-        for r in range(n - 2):
+        dim, K = n - 2, math.comb(n - 1, 2)
+        idx, gather = _incidence(n)
+        assert _incidence(n)[0] is idx and _incidence(n)[1] is gather
+        assert idx.shape == (dim, K) and gather.shape == (3, 2, dim, K)
+        for r in range(dim):
             assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
-            assert np.array_equal(moved[r], trip[idx[r]] == r + 1)
-        assert (moved.sum(axis=-1) == 1).all()
+            for sign in range(2):
+                moved = n + 1 + sign * dim + r  # the row of u_{r+1} + h, or of u_{r+1} - h
+                for k, t in enumerate(trip[idx[r]]):
+                    rows = gather[:, sign, r, k]
+                    assert list(rows == moved) == [p == r + 1 for p in t]
+                    assert [int(v) for v, p in zip(rows, t) if p != r + 1] == [p for p in t if p != r + 1]
         with pytest.raises(ValueError):
             idx[0, 0] = 0
+        with pytest.raises(ValueError):
+            gather[0, 0, 0, 0] = 0
 
 
 # One block of charts at n = 4 and h = 1e-16, and the error each row is refused
@@ -997,13 +1048,57 @@ def test_rank_scan_streams_match_default_rng(n, h, seed):
         (4, 600, 2, 1e-3, 3),
         (6, 600, 0, 1e-3, 5),
         (4, 600, 2, 1e-3, 1),
+        (8, 100, 1, 8e-3, 1000),
+        (8, 300, 0, 5e-3, 1000),
+        (8, 400, 2, 8e-3, 300),
+        (7, 300, 4, 8e-3, 100),
     ],
 )
 def test_rank_scan_streams_match_default_rng_across_chunks(n, trials, seed, h, cap):
     # trial counts past the 256-trial stream chunk, a 40-digit seed, and reject-cap
-    # failures at trial 0 and, with a low cap, at trials 344 and 513 of later chunks
+    # failures at trial 0 and, with a low cap, at trials 344 and 513 of later chunks;
+    # then steps that refuse most draws, so redraw rounds draw many charts ahead,
+    # with a cap of 100 tries that ends a round short (trial 12)
     want = scan_outcome(default_rng_rank_scan, n, trials, seed, h, reject_cap=cap)
     assert scan_outcome(rank_scan, n, trials, seed, h, reject_cap=cap) == want
+
+
+def scripted_streams(monkeypatch, charts):
+    """Make trial k of rank_scan draw the charts charts[k] in order, then (0.3, 0.6) forever."""
+    def r(u):  # the uniform double whose tan(pi (r + 1/4)) is about u
+        return (math.atan(u) / math.pi - 0.25) % 1.0
+
+    def streams(seed, ks):
+        return np.zeros(len(ks), dtype=int), np.array(list(ks))
+
+    def doubles(state, inc, count):
+        rows = [[r(v) for u in charts[k] for v in u] for k in inc]
+        rows = [row + [r(0.3), r(0.6)] * count for row in rows]
+        return state + count, np.array([row[s:s + count] for row, s in zip(rows, state)])
+
+    monkeypatch.setattr("treemoduli._streams.pcg64_streams", streams)
+    monkeypatch.setattr("treemoduli._streams.pcg64_doubles", doubles)
+
+
+SEAM, OK = (0.3, 0.3), (0.3, 0.6)
+
+
+@pytest.mark.parametrize(
+    "charts, stuck",
+    [
+        # trial 2 is stuck at its third try, before trials 1 and 3 at their fourth
+        ([[SEAM, SEAM, OK, (5.5, 0.3)], [SEAM] * 3 + [(2.5, 0.3)], [SEAM, SEAM, (4.5, 0.3)], [SEAM] * 3 + [(3.5, 0.3)]], 4.5),
+        # trials 1 and 3 are stuck at their fourth try: the lower trial raises
+        ([[SEAM, SEAM, OK, (5.5, 0.3)], [SEAM] * 3 + [(2.5, 0.3)], [SEAM] * 3 + [OK], [SEAM] * 3 + [(3.5, 0.3)]], 2.5),
+    ],
+)
+def test_rank_scan_raises_the_first_stuck_try(monkeypatch, charts, stuck):
+    # at h = 1e-16 a coordinate above 2 does not move; trial 0 is accepted at its
+    # third try, so its fourth, stuck at 5.5 in the same round of draws, is never tried
+    scripted_streams(monkeypatch, charts)
+    with pytest.raises(InvalidChart, match="^step h = 1.000e-16 does not move chart coordinate 1 = ") as err:
+        rank_scan(4, 4, h=1e-16)
+    assert float(str(err.value).rsplit(" = ", 1)[1]) == pytest.approx(stuck)
 
 
 def test_rank_scan_refuses_negative_seed():
