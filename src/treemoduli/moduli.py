@@ -327,27 +327,28 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x)) - 0.5
 
 
-def _refusals(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> dict:
-    """The error metric_matrix raises at each refused row of a chart block U (m, dim), by row index.
+def _refusals(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first stencil rule each row of a chart block U (m, dim) breaks, and its seam margin.
 
-    Every stencil's one rule, in order: InvalidChart for a non-finite coordinate;
-    SeamTooClose unless the seam margin (NaN at colliding coordinates) is above
-    10 h, so no stencil straddles a seam; InvalidChart where u + h, else u - h, rounds to u.
+    Every stencil's one rule, in order: 1 for a non-finite coordinate; 2 unless
+    the seam margin (NaN at colliding coordinates) is above 10 h, so no stencil
+    straddles a seam; 3 where u + h or u - h rounds to u.  0 where none is broken.
     """
-    finite = np.isfinite(U).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # colliding or huge coordinates
         margin = _seam_margin(_chart_ratios(U, trip, bk))
-        up, down = U + h == U, U - h == U
-    seam, out = ~(margin > 10.0 * h), {}
-    for i in np.flatnonzero(~finite | seam | up.any(axis=-1) | down.any(axis=-1)).tolist():
-        if not finite[i]:
-            out[i] = InvalidChart("chart coordinates must be finite")
-        elif seam[i]:
-            out[i] = SeamTooClose(f"seam margin {margin[i]:.3e} is not above 10 h = {10 * h:.3e}")
-        else:
-            r = np.flatnonzero(up[i] if up[i].any() else down[i])[0]
-            out[i] = InvalidChart(f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(U[i, r])!r}")
-    return out
+        stuck = ((U + h == U) | (U - h == U)).any(axis=-1)
+    finite = np.isfinite(U).all(axis=-1)
+    return np.where(finite, np.where(margin > 10.0 * h, np.where(stuck, 3, 0), 2), 1), margin
+
+
+def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticError:
+    """The error metric_matrix raises at a chart u that _refusals refuses by rule (margin: its seam margin)."""
+    if rule == 1:
+        return InvalidChart("chart coordinates must be finite")
+    if rule == 2:
+        return SeamTooClose(f"seam margin {margin:.3e} is not above 10 h = {10 * h:.3e}")
+    r = np.flatnonzero(u + h == u if (u + h == u).any() else u - h == u)[0]  # u + h before u - h
+    return InvalidChart(f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(u[r])!r}")
 
 
 def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -404,15 +405,16 @@ def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
     triple S with respect to u_m by symmetric differences of the cover
     values, each wrapped into the lift nearest the base value.
 
-    Raises ValueError unless h is finite and positive, and the error of
-    _refusals at a refused chart: SeamTooClose within 10 h (chordal) of a
-    seam or at colliding coordinates, InvalidChart if u +- h rounds to u.
+    Raises ValueError unless h is finite and positive, and the _refusal of
+    a refused chart: SeamTooClose within 10 h (chordal) of a seam or at
+    colliding coordinates, InvalidChart if u +- h rounds to u.
     """
     h = _check_step(h)
     trip, bk = _triple_arrays(u.n)
     base = u.as_array()[None]
-    if err := _refusals(base, h, trip, bk).get(0):
-        raise err
+    rule, margin = _refusals(base, h, trip, bk)
+    if rule[0]:
+        raise _refusal(base[0], rule[0], margin[0], h)
     return _central_jacobians(base, h, trip, bk)[0]
 
 
@@ -502,6 +504,8 @@ def metric_eval(u: ChartPoint, v, w, h: float = 1e-6) -> float:
     dim = u.n - 2
     if v.shape != (dim,) or w.shape != (dim,):
         raise DimensionMismatch(f"tangent vectors must have length {dim}")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise NonFiniteEntry("tangent vectors must be finite")
     return float(v @ metric_matrix(u, h) @ w)
 
 
@@ -548,6 +552,8 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("samples must share one chart dimension")
+    if dims == {0}:
+        raise ValueError("chart needs at least one coordinate (n >= 3)")
     P = np.array(pts)
     dim = P.shape[1]
     trip, bk = _triple_arrays(dim + 2)
@@ -560,10 +566,11 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
         """What metric_matrix gives at each row of U: the matrix, or the error it raises."""
         out = []
         for V in (U[s:s + block] for s in range(0, len(U), block)):
-            got = _refusals(V, h, trip, bk)
-            ok = [i for i in range(len(V)) if i not in got]
-            got.update(zip(ok, map(_pullback, _central_jacobians(V[ok], h, trip, bk))))
-            out += [got[i] for i in range(len(V))]
+            rule, margin = _refusals(V, h, trip, bk)
+            got = list(map(_pullback, _central_jacobians(V[rule == 0], h, trip, bk)))
+            for i in np.flatnonzero(rule).tolist():  # ascending, so each lands at its row
+                got.insert(i, _refusal(V[i], rule[i], margin[i], h))
+            out += got
         return out
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> list:
@@ -652,25 +659,19 @@ def rank_scan(
     def first_accepted(V: np.ndarray) -> np.ndarray:
         """Per stream, the try of its first accepted chart among V (tries, streams, dim), or -1.
 
-        A chart refused for a seam or a non-finite coordinate is redrawn.  Of
-        the charts the step does not move that a stream reaches before its
-        first accepted one, the first by try and then by stream raises.
+        A chart refused for a seam or a non-finite coordinate is redrawn, so a
+        stream stops at its first try that is accepted (rule 0) or that the
+        step does not move (rule 3).  Of the streams stopped by rule 3, the
+        first by try and then by stream raises.
         """
         tries, m = V.shape[:2]
-        refused = _refusals(V.reshape(-1, dim), h, trip, bk)
-        first, stuck = [-1] * m, []
-        for q in range(m):
-            for j in range(tries):
-                err = refused.get(j * m + q)
-                if err is None:
-                    first[q] = j
-                    break
-                if isinstance(err, InvalidChart) and np.isfinite(V[j, q]).all():
-                    stuck.append((j, q, err))
-                    break
-        if stuck:
-            raise min(stuck, key=lambda s: s[:2])[2]
-        return np.array(first)
+        rule = _refusals(V.reshape(-1, dim), h, trip, bk)[0].reshape(tries, m)
+        stop = (rule % 3).argmin(axis=0)  # the first try of rule 0 or 3; any try, of rule 1 or 2, where none
+        got = rule[stop, np.arange(m)]
+        q = np.where(got == 3, stop, tries).argmin()  # the earliest stuck try, then the lowest stream
+        if got[q] == 3:
+            raise _refusal(V[stop[q], q], 3, math.nan, h)
+        return np.where(got == 0, stop, -1)
 
     def blocks():
         """(trials, charts) per block; each rejected chart is redrawn from its own stream.

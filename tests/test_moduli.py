@@ -40,6 +40,7 @@ from treemoduli.moduli import (
     _exact_rank,
     _incidence,
     _rank_and_ratio,
+    _refusal,
     _refusals,
     _seam_margin,
     _triple_arrays,
@@ -489,20 +490,23 @@ REFUSAL_ROWS = [
 
 
 def test_refusals_of_a_mixed_block():
-    def outcome(err):
-        return None if err is None else (type(err), str(err))
+    def outcomes(U):
+        rule, margin = _refusals(U, 1e-16, trip, bk)
+        assert rule.shape == margin.shape == (len(U),)
+        errs = [_refusal(u, r, g, 1e-16) if r else None for u, r, g in zip(U, rule, margin)]
+        return [None if e is None else (type(e), str(e)) for e in errs]
 
     trip, bk = _triple_arrays(4)
     U = np.array([u for u, _ in REFUSAL_ROWS])
-    got = _refusals(U, 1e-16, trip, bk)
-    assert list(got) == [i for i, (_, want) in enumerate(REFUSAL_ROWS) if want]
+    got = outcomes(U)
     for i, (u, want) in enumerate(REFUSAL_ROWS):
-        assert outcome(got.get(i)) == want, u
-        assert outcome(_refusals(U[i:i + 1], 1e-16, trip, bk).get(0)) == want, u  # alone, alike
+        assert got[i] == want, u
+        assert outcomes(U[i:i + 1]) == [want], u  # alone, alike
         if want and all(map(math.isfinite, u)):
             with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
                 metric_matrix(ChartPoint(u), 1e-16)
-    assert _refusals(U[:0], 1e-16, trip, bk) == {}
+    rule, margin = _refusals(U[:0], 1e-16, trip, bk)
+    assert rule.shape == margin.shape == (0,)
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
@@ -585,6 +589,9 @@ def test_metric_eval():
     assert metric_eval(u4, v, v) >= 0.0
     with pytest.raises(DimensionMismatch):
         metric_eval(u4, [1.0], [1.0, 2.0])
+    for v, w in [([math.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, -math.inf])]:
+        with pytest.raises(NonFiniteEntry, match="^tangent vectors must be finite$"):
+            metric_eval(ChartPoint((0.3, 0.5)), v, w)
 
 
 def test_relabel():
@@ -684,6 +691,10 @@ def test_curve_length_input_validation():
         curve_length([ChartPoint((0.5,))])
     with pytest.raises(DimensionMismatch):
         curve_length([ChartPoint((0.5,)), ChartPoint((0.5, 0.6))])
+    for refused in (lambda: ChartPoint(()), lambda: curve_length([[], []])):
+        with pytest.raises(ValueError, match=r"^chart needs at least one coordinate \(n >= 3\)$") as err:
+            refused()
+        assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("h", [-1.0, 0.0, math.nan, math.inf])
@@ -890,16 +901,16 @@ def test_curve_length_along_a_seam_stops_after_the_first_failing_block(monkeypat
     screen = mod._refusals
 
     def recording(U, h, trip, bk):
-        got = screen(U, h, trip, bk)
-        refused.extend(got.values())
-        return got
+        rule, margin = screen(U, h, trip, bk)
+        refused.append(np.count_nonzero(rule))
+        return rule, margin
 
     monkeypatch.setattr(mod, "_refusals", recording)
     with pytest.raises(SeamTooClose) as got:
         curve_length(rows, max_splits=8)
     assert str(got.value) == str(ref.value)
     # 140 pieces, 6 blocks of 102 and 6 * 102 fallback points
-    assert 0 < len(refused) < 3000
+    assert 0 < sum(refused) < 3000
 
 
 # -- rank scan ----------------------------------------------------------------------------
@@ -1099,6 +1110,43 @@ def test_rank_scan_raises_the_first_stuck_try(monkeypatch, charts, stuck):
     with pytest.raises(InvalidChart, match="^step h = 1.000e-16 does not move chart coordinate 1 = ") as err:
         rank_scan(4, 4, h=1e-16)
     assert float(str(err.value).rsplit(" = ", 1)[1]) == pytest.approx(stuck)
+
+
+NAN = (math.nan, 0.3)
+
+
+@pytest.mark.parametrize(
+    "charts, stuck",
+    [
+        # a non-finite draw is redrawn like a seam draw; the stuck one after it raises,
+        # in a round of its own and in one round with the non-finite draw
+        ([[OK], [NAN, (2.5, 0.3)], [OK], [OK]], 2.5),
+        ([[OK], [SEAM, SEAM, NAN, (3.5, 0.3)], [OK], [OK]], 3.5),
+    ],
+)
+def test_rank_scan_redraws_a_non_finite_chart(monkeypatch, charts, stuck):
+    scripted_streams(monkeypatch, charts)
+    with pytest.raises(InvalidChart, match="^step h = 1.000e-16 does not move chart coordinate 1 = ") as err:
+        rank_scan(4, 4, h=1e-16)
+    assert float(str(err.value).rsplit(" = ", 1)[1]) == pytest.approx(stuck)
+
+
+def test_rank_scan_builds_no_refusal_error(monkeypatch):
+    # about 28000 charts of this scan are refused and redrawn; none of them
+    # needs an error object
+    import treemoduli.moduli as mod
+
+    want = rank_scan(8, 100, seed=1, h=8e-3)
+    built = []
+
+    class Counting(mod.SeamTooClose):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mod, "SeamTooClose", Counting)
+    assert rank_scan(8, 100, seed=1, h=8e-3) == want
+    assert built == []
 
 
 def test_rank_scan_refuses_negative_seed():
