@@ -381,9 +381,10 @@ def _pullback(jac: np.ndarray) -> np.ndarray:
 
 
 # Trials per rank_scan block: about 1e4 stencil values at n = 8.  Larger
-# blocks raise the peak RSS of rank-scan and save little time.  The random
-# streams of a chunk of 16 blocks are seeded and drawn together, a few
-# microseconds per trial, so they no longer dominate a block.
+# blocks raise the peak RSS of rank-scan at n = 8 from 31.5 MiB to 32.1,
+# 33.5 and 38.0 MiB at 32, 64 and 256 trials.  The random streams of a
+# chunk of 16 blocks are seeded, drawn and screened for their first chart
+# together.
 _SCAN_BLOCK = 16
 _SCAN_CHUNK = 16 * _SCAN_BLOCK
 
@@ -549,6 +550,9 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
     if len(pts) < 2:
         raise ValueError("curve needs at least two samples")
+    shape = next((p.shape for p in pts if p.ndim != 1), None)
+    if shape is not None:
+        raise ValueError(f"samples must be a sequence of 1-D coordinate rows, got a sample of shape {shape}")
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("samples must share one chart dimension")
@@ -656,16 +660,19 @@ def rank_scan(
         state, r = pcg64_doubles(state, inc, count * dim)
         return state, np.tan(np.pi * (r + 0.25)).reshape(len(inc), count, dim).swapaxes(0, 1)
 
-    def first_accepted(V: np.ndarray) -> np.ndarray:
+    def screen(V: np.ndarray) -> np.ndarray:
+        """The _refusals rule of each chart of V (tries, streams, dim), as (tries, streams)."""
+        return _refusals(V.reshape(-1, dim), h, trip, bk)[0].reshape(V.shape[:2])
+
+    def first_accepted(V: np.ndarray, rule: np.ndarray) -> np.ndarray:
         """Per stream, the try of its first accepted chart among V (tries, streams, dim), or -1.
 
-        A chart refused for a seam or a non-finite coordinate is redrawn, so a
-        stream stops at its first try that is accepted (rule 0) or that the
-        step does not move (rule 3).  Of the streams stopped by rule 3, the
-        first by try and then by stream raises.
+        rule is screen(V).  A chart refused for a seam or a non-finite
+        coordinate is redrawn, so a stream stops at its first try that is
+        accepted (rule 0) or that the step does not move (rule 3).  Of the
+        streams stopped by rule 3, the first by try and then by stream raises.
         """
-        tries, m = V.shape[:2]
-        rule = _refusals(V.reshape(-1, dim), h, trip, bk)[0].reshape(tries, m)
+        tries, m = rule.shape
         stop = (rule % 3).argmin(axis=0)  # the first try of rule 0 or 3; any try, of rule 1 or 2, where none
         got = rule[stop, np.arange(m)]
         q = np.where(got == 3, stop, tries).argmin()  # the earliest stuck try, then the lowest stream
@@ -678,20 +685,23 @@ def rank_scan(
 
         A round draws as many charts ahead for each rejected trial as it has
         tried so far, up to reject_cap tries in all; a stream is not read
-        after its chart is accepted, so this changes no accepted chart.
+        after its chart is accepted, so this changes no accepted chart.  The
+        first draw of a chunk is screened at once; as _refusals works row by
+        row, each block reads the rules it would have got alone.
         """
         for c0 in range(0, trials, _SCAN_CHUNK):
             chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
             state, inc = pcg64_streams(seed, chunk)
             state, drawn = draw(state, inc, 1)
+            rules = screen(drawn)
             for b0 in range(0, len(chunk), _SCAN_BLOCK):
                 U = drawn[0, b0:b0 + _SCAN_BLOCK]
-                rows, tries = np.flatnonzero(first_accepted(U[None]) < 0), 1
+                rows, tries = np.flatnonzero(first_accepted(U[None], rules[:, b0:b0 + _SCAN_BLOCK]) < 0), 1
                 while len(rows) and tries < reject_cap:
                     ahead = min(tries, reject_cap - tries)
                     i = b0 + rows
                     state[i], V = draw(state[i], inc[i], ahead)
-                    got = first_accepted(V)
+                    got = first_accepted(V, screen(V))
                     ok = np.flatnonzero(got >= 0)
                     U[rows[ok]] = V[got[ok], ok]
                     rows, tries = rows[got < 0], tries + ahead

@@ -695,6 +695,12 @@ def test_curve_length_input_validation():
         with pytest.raises(ValueError, match=r"^chart needs at least one coordinate \(n >= 3\)$") as err:
             refused()
         assert type(err.value) is ValueError
+    # a bare number or a nested row is not a chart row
+    for samples, shape in (([0.3, 0.5], ()), ([[[0.3]], [[0.5]]], (1, 1))):
+        with pytest.raises(ValueError) as err:
+            curve_length(samples)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"samples must be a sequence of 1-D coordinate rows, got a sample of shape {shape}"
 
 
 @pytest.mark.parametrize("h", [-1.0, 0.0, math.nan, math.inf])
@@ -962,10 +968,12 @@ def loop_rank_scan(n, trials, seed, h=1e-6, tol=1e-6):
     }
 
 
-@pytest.mark.parametrize("trials", [1, 33, 100])
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize(
+    "n, trials", [(n, t) for n in range(3, 9) for t in (1, 33, 100)] + [(n, t) for n in (4, 8) for t in (256, 257)]
+)
 def test_rank_scan_matches_per_trial_loop(n, trials):
-    # trial counts that are not multiples of the block size
+    # trial counts that are not multiples of the block size, and one that
+    # fills the 256-trial stream chunk and one that crosses it
     assert rank_scan(n, trials, seed=3) == loop_rank_scan(n, trials, 3)
 
 
@@ -990,6 +998,73 @@ def test_pcg64_kernel_is_default_rng_bit_for_bit(seed, ks):
     assert (np.hstack([first, more]).view(np.uint64) == want[:, :13]).all()
     _, last = pcg64_doubles(state[-1:], inc[-1:], 3)  # a one-row slice advances its own stream
     assert (last.view(np.uint64) == want[-1:, 13:]).all()
+
+
+M128 = (1 << 128) - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def object_pcg64_doubles(state, inc, count):
+    """Reference: pcg64_doubles on object arrays of Python ints, the formula before the limb kernel."""
+    a, b, mults, sums = 1, 0, [], []
+    for _ in range(count):
+        a, b = a * PCG_MULT & M128, (b * PCG_MULT + 1) & M128
+        mults.append(a)
+        sums.append(b)
+    states = (state[:, None] * np.array(mults, object) + inc[:, None] * np.array(sums, object)) & M128
+    x = (states >> 64 ^ states) & (1 << 64) - 1
+    rot = states >> 122
+    return states[:, -1], (((x >> rot | x << 64 - rot) & (1 << 64) - 1) >> 11).astype(float) * 2.0**-53
+
+
+def limbs(values):
+    """128-bit integers as the (m, 4) uint64 rows of their 32-bit limbs, the lowest first."""
+    return np.array([[v >> 32 * j & 0xFFFFFFFF for j in range(4)] for v in values], np.uint64)
+
+
+def from_limbs(rows):
+    return [sum(int(v) << 32 * j for j, v in enumerate(row)) for row in rows]
+
+
+def stepped_to(target, inc):
+    """The state whose next LCG step is target."""
+    return (target - inc) * pow(PCG_MULT, -1, 1 << 128) & M128
+
+
+ODD = 0x5851F42D4C957F2D14057B7EF767814F
+LIMB_CASES = {
+    "state 2^128-1": [(M128, ODD)],
+    "inc all ones": [(ODD, M128), (M128, M128)],  # carries run through all four limbs
+    "rotate by 0": [(stepped_to((1 << 122) - 1, ODD), ODD), (stepped_to(0x0123456789ABCDEF << 58, ODD), ODD)],
+    "rotate by 63": [(stepped_to(M128, ODD), ODD), (stepped_to(63 << 122 | 0x9E3779B97F4A7C15, ODD), ODD)],
+    "mixed": [(3**k & M128, 7**k & M128 | 1) for k in range(60, 66)],
+}
+
+
+@pytest.mark.parametrize("count", [1, 3072])  # 3072: a full draw-ahead round at n = 8
+@pytest.mark.parametrize("case", LIMB_CASES)
+def test_pcg64_limb_kernel_matches_python_ints(case, count):
+    state, inc = map(list, zip(*LIMB_CASES[case]))
+    if case.startswith("rotate by"):  # the first step lands on the wanted top six bits
+        top = [((s * PCG_MULT + c) & M128) >> 122 for s, c in zip(state, inc)]
+        assert top == [int(case.split()[-1])] * len(state)
+    want_state, want = object_pcg64_doubles(np.array(state, object), np.array(inc, object), count)
+    got_state, got = pcg64_doubles(limbs(state), limbs(inc), count)
+    assert got_state.dtype == np.uint64 and got_state.shape == (len(state), 4)
+    assert from_limbs(got_state) == list(want_state)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    _, last = pcg64_doubles(limbs(state)[-1:], limbs(inc)[-1:], count)  # a one-row slice
+    assert (last.view(np.uint64) == want[-1:].view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 109, 2**64 + 5, 10**39 + 7])
+def test_pcg64_streams_are_uint64_limbs_of_default_rng_state(seed):
+    ks = [0, 1, 255]
+    state, inc = pcg64_streams(seed, ks)
+    assert state.dtype == inc.dtype == np.uint64 and state.shape == inc.shape == (3, 4)
+    want = [np.random.default_rng([seed, k]).bit_generator.state["state"] for k in ks]
+    assert from_limbs(state) == [w["state"] for w in want]
+    assert from_limbs(inc) == [w["inc"] for w in want]
 
 
 def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
@@ -1147,6 +1222,34 @@ def test_rank_scan_builds_no_refusal_error(monkeypatch):
     monkeypatch.setattr(mod, "SeamTooClose", Counting)
     assert rank_scan(8, 100, seed=1, h=8e-3) == want
     assert built == []
+
+
+def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
+    # one _refusals call for the first draw of each 256-trial chunk, not one per
+    # 16-trial block, and one for each redraw round (this scan has one)
+    import treemoduli._streams as streams
+    import treemoduli.moduli as mod
+
+    want = rank_scan(8, 1000, seed=1)
+    calls = []
+    refusals, doubles = mod._refusals, streams.pcg64_doubles
+
+    def counting_refusals(U, *args):
+        calls.append(("screen", len(U)))
+        return refusals(U, *args)
+
+    def counting_doubles(state, inc, count):
+        calls.append(("draw", len(inc), count // 6))
+        return doubles(state, inc, count)
+
+    monkeypatch.setattr(mod, "_refusals", counting_refusals)
+    monkeypatch.setattr(streams, "pcg64_doubles", counting_doubles)
+    assert rank_scan(8, 1000, seed=1) == want
+    draws, screens = calls[::2], calls[1::2]
+    assert [c[0] for c in draws] == ["draw"] * len(draws) and len(screens) == len(draws)
+    assert [("screen", m * tries) for _, m, tries in draws] == screens  # each draw screened in one call
+    assert [c for c in draws if c[1] > 16] == [("draw", 256, 1)] * 3 + [("draw", 232, 1)]
+    assert len(screens) == 4 + 1
 
 
 def test_rank_scan_refuses_negative_seed():
