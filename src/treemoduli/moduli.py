@@ -179,10 +179,10 @@ def triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def check_triple(s: tuple[int, int, int], n: int) -> tuple[int, int, int]:
-    i, j, k = (int(v) for v in s)
-    if not (1 <= i < j < k <= n):
-        raise BadIndex(f"{(i, j, k)} is not an increasing triple in 1..{n}")
-    return (i, j, k)
+    i, j, k = t = tuple(int(v) for v in s)
+    if t != tuple(s) or not (1 <= i < j < k <= n):
+        raise BadIndex(f"{tuple(s)} is not an increasing triple in 1..{n}")
+    return t
 
 
 def chart_coords(c: Configuration) -> ChartPoint:
@@ -516,12 +516,13 @@ def relabel(perm, c: Configuration) -> Configuration:
     perm[i-1] is the new label of leaf i.
     """
     n = c.n
-    perm = [int(v) for v in perm]
-    if sorted(perm) != list(range(1, n + 1)):
+    perm = list(perm)
+    labels = [int(v) for v in perm]
+    if labels != perm or sorted(labels) != list(range(1, n + 1)):
         raise NotAPermutation(f"{perm} is not a permutation of 1..{n}")
     pts: list[ProjPoint | None] = [None] * (n + 1)
     pts[0] = c.points[0]
-    for i, target in enumerate(perm, start=1):
+    for i, target in enumerate(labels, start=1):
         pts[target] = c.points[i]
     return Configuration(tuple(pts))
 
@@ -540,11 +541,11 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     split-depth cap the metric is evaluated one-sidedly at the first of
     the points 1/4, 3/4, 1/10, 9/10, 0 and 1 of the way along the piece
     with enough seam margin, or else the midpoint's SeamTooClose stands.
-    An InvalidChart is never bisected.  The pieces of one split depth, and
-    then the fallback points at the cap, are evaluated in blocks, one
-    _refusals screen and one stencil per block, with the bits and errors
-    of one metric_matrix call each.  The first failing piece in path order
-    raises its error.
+    An InvalidChart is never bisected.  The pieces of one split depth are
+    evaluated in blocks, one _refusals screen of the midpoints, one of the
+    fallback points at the cap and one stencil per block.  Each piece
+    carries its _refusals rule, seam margin and chart; only the first
+    failing piece in path order has its error built and raised.
     """
     h = _check_step(h)
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
@@ -562,59 +563,52 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     dim = P.shape[1]
     trip, bk = _triple_arrays(dim + 2)
     block = max(1, _PATH_BUDGET // max(1, math.comb(dim + 2, 3) * dim))
+    f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # fallback points, tried in this order
 
-    def first_error(values):
-        return next((v for v in values if isinstance(v, ArithmeticError)), None)
+    def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
+        """Length L, rule R, seam margin M and chart C of each piece A[i] -> B[i], in path order.
 
-    def metrics(U: np.ndarray) -> list:
-        """What metric_matrix gives at each row of U: the matrix, or the error it raises."""
-        out = []
-        for V in (U[s:s + block] for s in range(0, len(U), block)):
-            rule, margin = _refusals(V, h, trip, bk)
-            got = list(map(_pullback, _central_jacobians(V[rule == 0], h, trip, bk)))
-            for i in np.flatnonzero(rule).tolist():  # ascending, so each lands at its row
-                got.insert(i, _refusal(V[i], rule[i], margin[i], h))
-            out += got
-        return out
-
-    def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> list:
-        """Length or error of each piece A[i] -> B[i], in path order, a block at a time."""
-        out = []
+        R is the _refusals rule of the piece's first failure (0 for none),
+        M its margin and C the chart where the piece is evaluated or fails.
+        After the first block that fails, every later piece takes that
+        block's first failure, as no later piece can fail first.
+        """
+        du = B - A
+        C = 0.5 * (A + B)
+        C = np.where(np.isinf(C), 0.5 * A + 0.5 * B, C)  # a + b overflowed; halving is exact there
+        L, R, M = np.zeros(len(A)), np.zeros(len(A), int), np.zeros(len(A))
         for s in range(0, len(A), block):
-            a, b = A[s:s + block], B[s:s + block]
-            du, mid = b - a, 0.5 * (a + b)
-            mid = np.where(np.isinf(mid), 0.5 * a + 0.5 * b, mid)  # a + b overflowed; halving is exact there
-            live = np.flatnonzero(du.any(axis=1))
-            got = [0.0] * len(a)
-            for i, g in zip(live, metrics(mid[live])):
-                got[i] = g
-            cut = [i for i in live if isinstance(got[i], SeamTooClose)]
-            if cut and depth > 0:
-                ends = np.stack([a[cut], mid[cut], b[cut]], axis=1)  # halves in path order
-                halves = lengths(ends[:, :2].reshape(-1, dim), ends[:, 1:].reshape(-1, dim), depth - 1)
-                for i, lo, hi in zip(cut, halves[::2], halves[1::2]):
-                    got[i] = first_error((lo, hi)) or lo + hi
-            elif cut:
-                f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # tried in this order
-                k = len(f)
-                gs = metrics((a[cut, None] + f[:, None] * du[cut, None]).reshape(-1, dim))
-                for j, i in enumerate(cut):
-                    tried = (g for g in gs[k * j:k * j + k] if not isinstance(g, SeamTooClose))
-                    got[i] = next(tried, got[i])
-            out += [
-                math.sqrt(max(float(d @ g @ d), 0.0)) if isinstance(g, np.ndarray) else g
-                for d, g in zip(du, got)
-            ]
-            err = first_error(out[s:])
-            if err:
-                return out + [err] * (len(A) - len(out))  # no later piece can fail first
-        return out
+            live = s + np.flatnonzero(du[s:s + block].any(axis=1))  # a piece of length 0 has rule 0
+            R[live], M[live] = _refusals(C[live], h, trip, bk)
+            cut = live[R[live] == 2]
+            if len(cut) and depth == 0:
+                F = A[cut, None] + f[:, None] * du[cut, None]  # (pieces, points, dim)
+                rule, margin = (x.reshape(len(cut), -1) for x in _refusals(F.reshape(-1, dim), h, trip, bk))
+                k = (rule == 2).argmin(axis=1)  # the first point not refused for a seam, or 0
+                j = np.flatnonzero(rule[np.arange(len(cut)), k] != 2)  # elsewhere the midpoint's failure stands
+                i, k = cut[j], k[j]
+                R[i], M[i], C[i] = rule[j, k], margin[j, k], F[j, k]
+            ok = live[R[live] == 0]
+            G = map(_pullback, _central_jacobians(C[ok], h, trip, bk))
+            L[ok] = [math.sqrt(max(float(d @ g @ d), 0.0)) for d, g in zip(du[ok], G)]
+            if len(cut) and depth > 0:
+                ends = np.stack([A[cut], C[cut], B[cut]], axis=1)  # halves in path order
+                got = lengths(ends[:, :2].reshape(-1, dim), ends[:, 1:].reshape(-1, dim), depth - 1)
+                Lh, Rh, Mh, Ch = (x.reshape(len(cut), 2, *x.shape[1:]) for x in got)
+                j, k = np.arange(len(cut)), (Rh[:, 0] == 0).astype(int)  # the lower half's failure, else the upper's
+                L[cut], R[cut], M[cut], C[cut] = Lh[:, 0] + Lh[:, 1], Rh[j, k], Mh[j, k], Ch[j, k]
+            if R[s:s + block].any():
+                q = s + np.flatnonzero(R[s:])[0]
+                R[q:], M[q:], C[q:] = R[q], M[q], C[q]
+                break
+        return L, R, M, C
 
     with np.errstate(over="ignore", invalid="ignore"):  # huge charts overflow du, mid and du^T G du
-        out = lengths(P[:-1], P[1:], max_splits)
-    if first_error(out):
-        raise first_error(out)
-    return sum(out)
+        L, R, M, C = lengths(P[:-1], P[1:], max_splits)
+    if R.any():
+        q = np.flatnonzero(R)[0]
+        raise _refusal(C[q], R[q], M[q], h)
+    return sum(L.tolist())
 
 
 def rank_scan(
@@ -638,8 +632,9 @@ def rank_scan(
     Trials are evaluated in blocks: one stencil evaluation and one SVD
     call per block, with the same bits as one Jacobian per trial.
     """
-    n = int(n)
-    trials = int(trials)
+    if int(n) != n or int(trials) != trials:
+        raise ValueError(f"n and trials must be integers, got {n!r} and {trials!r}")
+    n, trials = int(n), int(trials)
     if not 3 <= n <= 8:
         raise ValueError("rank_scan supports 3 <= n <= 8")
     if trials < 1:
@@ -647,9 +642,9 @@ def rank_scan(
     if reject_cap < 1:
         raise ValueError("reject_cap must be >= 1")
     h = _check_step(h, tol)
-    seed = int(seed)
-    if seed < 0:
+    if int(seed) != seed or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = int(seed)
     from ._streams import pcg64_doubles, pcg64_streams
 
     trip, bk = _triple_arrays(n)

@@ -139,6 +139,8 @@ def tree3_figure(
 
 def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
     """k samples (s, x, cover value of x), x = tan(pi s), on the uniform grid of s in [-1/2, 1/2]."""
+    if int(k) != k:
+        raise ValueError(f"k = {k!r} is not an integer")
     k = int(k)
     if k < 2:
         raise ValueError("need at least two samples")

@@ -143,7 +143,9 @@ def neg(p: ProjPoint) -> ProjPoint:
 
 
 def mul(m: int, p: ProjPoint) -> ProjPoint:
-    """m-fold tangent sum by double-and-add; matches tan(m arctan x)."""
+    """m-fold tangent sum by double-and-add; matches tan(m arctan x).  ValueError unless m is an integer."""
+    if int(m) != m:
+        raise ValueError(f"m = {m!r} is not an integer")
     m = int(m)
     if m < 0:
         return neg(mul(-m, p))

@@ -171,6 +171,12 @@ def test_forgetful_examples():
         forgetful(c, (1, 2, 6))
     with pytest.raises(BadIndex):
         forgetful(c, (2, 1, 3))
+    # entries must be integers, not values that truncate to one
+    with pytest.raises(BadIndex):
+        forgetful(c, (1, 2.5, 3))
+    with pytest.raises(BadIndex):
+        forgetful(c, ("1", "2", "3"))
+    assert forgetful(c, (np.int64(1), 2.0, 3)) == forgetful(c, (1, 2, 3))
 
 
 def test_triple_coord_examples():
@@ -604,6 +610,11 @@ def test_relabel():
     assert relabel([2, 1, 3, 4], swapped).points == pts
     with pytest.raises(NotAPermutation):
         relabel([1, 1, 3, 4], c)
+    # labels must be integers, not values that truncate or convert to one
+    for perm in ([1, 2.9, 3, 4], ["1", "2", "3", "4"]):
+        with pytest.raises(NotAPermutation):
+            relabel(perm, c)
+    assert relabel([np.int64(2), 1.0, 3, 4], c).points == swapped.points
 
 
 def transition(perm, u):
@@ -819,9 +830,52 @@ def test_curve_length_stencils_keep_clear_of_seams(monkeypatch):
     rng = np.random.default_rng(43)
     rows = seeded_path(rng, 5, legs=8)
     curve_length(rows)
+    assert len(charts) > len(rows)  # bisections add charts
+    seen = len(charts)
+    # no splits left: only the first fallback point with seam margin, 1/4 of
+    # the way, gets a stencil, not every fallback point that passes the screen
     curve_length([[0.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.0]], max_splits=0)
-    assert len(charts) > len(rows)  # bisections and the fallback add charts
+    assert charts[seen:] == [(0.75 + 1e-7, 2.0)]
     assert min(seam_margin_homogeneous(u) for u in charts) > 1e-5
+
+
+def test_curve_length_builds_one_error(monkeypatch):
+    # Refused charts are carried as _refusals rules; an error object is built
+    # only for the first failing piece, which the call raises.
+    import treemoduli.moduli as mod
+
+    rng = np.random.default_rng(43)
+    bisected = seeded_path(rng, 5, legs=8)
+    failing = [
+        ([[-1.67], [-1.64], [0.9]], {"h": 0.5}),  # 10 h >= 1/sqrt(2): every chart is refused
+        ([[0.3 + 0.01 * k, 0.3 + 0.01 * k, 2.5, 3.5] for k in range(21)], {"max_splits": 8}),  # on u_1 = u_2
+    ]
+    want = curve_length(bisected)
+    refs = []
+    for rows, kw in failing:
+        with pytest.raises(ArithmeticError) as err:
+            curve_length(rows, **kw)
+        refs.append((type(err.value), str(err.value)))
+    built = []
+
+    def counting(base):
+        class Counting(base):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        return Counting
+
+    monkeypatch.setattr(mod, "SeamTooClose", counting(SeamTooClose))
+    monkeypatch.setattr(mod, "InvalidChart", counting(InvalidChart))
+    assert curve_length(bisected) == want
+    assert built == []
+    for (rows, kw), ref in zip(failing, refs):
+        with pytest.raises(ArithmeticError) as err:
+            curve_length(rows, **kw)
+        assert isinstance(err.value, ref[0]) and str(err.value) == ref[1]
+        assert len(built) == 1
+        built.clear()
 
 
 def test_curve_length_raises_the_first_failing_segment():
@@ -1306,3 +1360,8 @@ def test_rank_scan_schema_and_preconditions():
         rank_scan(4, 0)
     with pytest.raises(ValueError):
         rank_scan(9, 10)
+    # n, trials and seed must be integers, not values that truncate to one
+    for args, kw in [((4.7, 3), {}), ((4, 2.9), {}), (("4", 3), {}), ((4, 3), {"seed": 1.5})]:
+        with pytest.raises(ValueError, match="integer"):
+            rank_scan(*args, **kw)
+    assert rank_scan(np.int64(4), 3.0, seed=np.uint64(2)) == rank_scan(4, 3, seed=2)

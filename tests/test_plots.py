@@ -132,6 +132,11 @@ def test_helix_minimal_samples():
     assert len(samples) == 2
     with pytest.raises(ValueError):
         helix_samples(1)
+    # k must be an integer: 2.5 is not read as 2
+    for sample in (helix_samples, graph_samples):
+        with pytest.raises(ValueError):
+            sample(2.5)
+        assert sample(np.int64(3)) == sample(3.0) == sample(3)
 
 
 def test_graph_samples_have_pole_rows():

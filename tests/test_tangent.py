@@ -234,6 +234,11 @@ def test_integer_multiples():
     assert mul(4, ONE) == ZERO
     q = ProjPoint.from_affine(0.37)
     assert chordal(mul(-3, q), neg(mul(3, q))) < 1e-12
+    # m must be an integer: 2.5 is not read as 2, whose multiple of ONE is infinity
+    for m in (2.5, -0.5, "2"):
+        with pytest.raises(ValueError):
+            mul(m, ONE)
+    assert mul(np.int64(3), q) == mul(3.0, q) == mul(3, q)
 
 
 def test_triple_formula():
