@@ -264,9 +264,9 @@ def _dispatch(args, out) -> None:
 
     elif args.cmd == "albanese":
         cfg = _load_configuration(args)
-        values = [t.t for t in moduli.albanese(cfg)]
-        doc = {**cfg.to_json(), "triples": moduli.triples(cfg.n), "values": values}
-        out.write(_emit_json(doc) + "\n")
+        values = _round12([t.t for t in moduli.albanese(cfg)])
+        doc = {**_round12(cfg.to_json()), "triples": moduli.triples(cfg.n), "values": values}  # triples hold ints only
+        out.write(json.dumps(doc) + "\n")
 
     elif args.cmd == "metric":
         chart = _parse_chart(args.chart)

@@ -21,6 +21,7 @@ from .projline import (
     POINT_TOL,
     ZERO,
     ProjPoint,
+    _integer,
     chordal,
     cross_ratio,
 )
@@ -150,7 +151,7 @@ def cover_integral(order: int = 64) -> float:
     """
     from numpy.polynomial.legendre import leggauss
 
-    nodes, weights = leggauss(order)
+    nodes, weights = leggauss(_integer(order, "order"))
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     total = 0.0

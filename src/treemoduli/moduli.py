@@ -31,6 +31,7 @@ from .projline import (
     _cross,
     _cross_checked,
     _det,
+    _integer,
     chordal,
     cross_ratio,
     frame_map,
@@ -119,12 +120,7 @@ class Configuration:
 
     def min_separation(self) -> float:
         """Smallest pairwise chordal distance; 0 on boundary strata."""
-        pts = self.points
-        return min(
-            chordal(pts[i], pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        )
+        return min(chordal(p, q) for p, q in combinations(self.points, 2))
 
     def in_open_stratum(self, tol: float = POINT_TOL) -> bool:
         return self.min_separation() > tol
@@ -179,8 +175,8 @@ def triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def check_triple(s: tuple[int, int, int], n: int) -> tuple[int, int, int]:
-    i, j, k = t = tuple(int(v) for v in s)
-    if t != tuple(s) or not (1 <= i < j < k <= n):
+    i, j, k = t = tuple(_integer(v, "triple entry", BadIndex) for v in s)
+    if not (1 <= i < j < k <= n):
         raise BadIndex(f"{tuple(s)} is not an increasing triple in 1..{n}")
     return t
 
@@ -517,8 +513,8 @@ def relabel(perm, c: Configuration) -> Configuration:
     """
     n = c.n
     perm = list(perm)
-    labels = [int(v) for v in perm]
-    if labels != perm or sorted(labels) != list(range(1, n + 1)):
+    labels = [_integer(v, "label", NotAPermutation) for v in perm]
+    if sorted(labels) != list(range(1, n + 1)):
         raise NotAPermutation(f"{perm} is not a permutation of 1..{n}")
     pts: list[ProjPoint | None] = [None] * (n + 1)
     pts[0] = c.points[0]
@@ -547,7 +543,9 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     carries its _refusals rule, seam margin and chart; only the first
     failing piece in path order has its error built and raised.
     """
-    h = _check_step(h)
+    h, max_splits = _check_step(h), _integer(max_splits, "max_splits")
+    if max_splits < 0:
+        raise ValueError("max_splits must be >= 0")
     pts = [s.as_array() if isinstance(s, ChartPoint) else np.asarray(s, float) for s in samples]
     if len(pts) < 2:
         raise ValueError("curve needs at least two samples")
@@ -632,9 +630,8 @@ def rank_scan(
     Trials are evaluated in blocks: one stencil evaluation and one SVD
     call per block, with the same bits as one Jacobian per trial.
     """
-    if int(n) != n or int(trials) != trials:
-        raise ValueError(f"n and trials must be integers, got {n!r} and {trials!r}")
-    n, trials = int(n), int(trials)
+    n, trials = _integer(n, "n"), _integer(trials, "trials")
+    seed, reject_cap = _integer(seed, "seed"), _integer(reject_cap, "reject_cap")
     if not 3 <= n <= 8:
         raise ValueError("rank_scan supports 3 <= n <= 8")
     if trials < 1:
@@ -642,9 +639,8 @@ def rank_scan(
     if reject_cap < 1:
         raise ValueError("reject_cap must be >= 1")
     h = _check_step(h, tol)
-    if int(seed) != seed or seed < 0:
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    seed = int(seed)
     from ._streams import pcg64_doubles, pcg64_streams
 
     trip, bk = _triple_arrays(n)
@@ -706,10 +702,7 @@ def rank_scan(
                     )
                 yield chunk[b0:b0 + _SCAN_BLOCK], U
 
-    full = 0
-    min_rank = dim
-    worst_ratio = math.inf
-    counterexample = None
+    full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
     for ks, U in blocks():
         rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
         short = np.flatnonzero(rank < dim)

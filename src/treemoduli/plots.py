@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cover import CirclePoint, _branch, circle_distance, devadoss_length
-from .projline import ProjPoint
+from .projline import ProjPoint, _integer
 from .tangent import cayley, stereo_param
 
 __all__ = [
@@ -139,9 +139,7 @@ def tree3_figure(
 
 def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
     """k samples (s, x, cover value of x), x = tan(pi s), on the uniform grid of s in [-1/2, 1/2]."""
-    if int(k) != k:
-        raise ValueError(f"k = {k!r} is not an integer")
-    k = int(k)
+    k = _integer(k, "k")
     if k < 2:
         raise ValueError("need at least two samples")
     for j in range(k):

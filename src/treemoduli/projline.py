@@ -50,6 +50,16 @@ class DegenerateAnchor(ArithmeticError):
     """Coincident anchor points cannot be sent to (0, 1, infinity)."""
 
 
+def _integer(v, name: str, error: type[Exception] = ValueError) -> int:
+    """int(v) when v equals it (ints, numpy integers, 3.0); else error, also for NaN, inf, None and strings."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} = {v!r} is not an integer")
+
+
 def _canon(a: float, b: float) -> tuple[float, float]:
     """The pair ProjPoint stores for a finite nonzero [a : b] (see its docstring); never -0.0."""
     shift = 1 - math.frexp(a if abs(a) > abs(b) else b)[1]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint
+from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint, _integer
 
 __all__ = [
     "circle_exp",
@@ -144,9 +144,7 @@ def neg(p: ProjPoint) -> ProjPoint:
 
 def mul(m: int, p: ProjPoint) -> ProjPoint:
     """m-fold tangent sum by double-and-add; matches tan(m arctan x).  ValueError unless m is an integer."""
-    if int(m) != m:
-        raise ValueError(f"m = {m!r} is not an integer")
-    m = int(m)
+    m = _integer(m, "m")
     if m < 0:
         return neg(mul(-m, p))
     acc = ZERO
@@ -167,10 +165,10 @@ def torsion_point(q: Fraction | int | tuple[int, int]) -> ProjPoint:
     values are returned exactly: 0 -> 0, 1/2 -> infinity, 1/4 -> 1,
     3/4 -> -1.  The denominator of q annihilates the result under mul.
     """
-    if isinstance(q, tuple):
-        q = Fraction(q[0], q[1])
-    else:
-        q = Fraction(q)
+    try:
+        q = Fraction(_integer(q[0], "a"), _integer(q[1], "b")) if isinstance(q, tuple) else Fraction(q)
+    except (ZeroDivisionError, OverflowError) as exc:  # (a, 0) and infinite q
+        raise ValueError(f"q = {q!r} is not a rational number") from exc
     q %= 1
     if q == 0:
         return ZERO

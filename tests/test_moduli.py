@@ -377,6 +377,34 @@ def test_exact_jacobian_at_n3_is_the_cover_derivative():
     assert _exact_jacobian(ChartPoint((0.375,))) == [[Fraction(1)]]
 
 
+def exact_metric(u):
+    """The averaged metric J^T J / T at exactly the chart u, as rows of Fractions."""
+    jac = _exact_jacobian(ChartPoint(u))
+    return [[sum(r[a] * r[b] for r in jac) / len(jac) for b in range(len(u))] for a in range(len(u))]
+
+
+@pytest.mark.parametrize(
+    "side",
+    [
+        lambda d: (0.3 + d, 0.3),  # u_1 = u_2
+        lambda d: (1.0 + d, 2.5),  # u_1 = 1
+        lambda d: (d, 2.5),  # u_1 = 0
+    ],
+    ids=["u1=u2", "u1=1", "u1=0"],
+)
+def test_exact_metric_is_continuous_across_seams(side):
+    # the metric on the two sides of a seam agrees to first order in the
+    # offset: the largest entry difference falls about 2^10-fold for each
+    # 2^-10 step of the offset (by 80.2, 1.93 and 1.57 times the offset)
+    gaps = []
+    for d in (2.0**-20, 2.0**-30, 2.0**-40):
+        lo, hi = exact_metric(side(-d)), exact_metric(side(d))
+        gaps.append(max(abs(x - y) for a, b in zip(lo, hi) for x, y in zip(a, b)))
+    for big, small in zip(gaps, gaps[1:]):
+        assert 2**9 <= big / small <= 2**11
+    assert gaps[-1] < Fraction(1, 10**10)
+
+
 def masked_cover_values(rho):
     """Reference chart-side cover: the masked three-branch form, one branch per slice."""
     t = np.empty_like(rho)
@@ -1309,6 +1337,14 @@ def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
 def test_rank_scan_refuses_negative_seed():
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         rank_scan(4, 5, seed=-1)
+
+
+def test_split_and_draw_caps_are_checked_counts():
+    # a non-integral cap is refused before the redraw loop slices by it
+    with pytest.raises(ValueError, match=r"^reject_cap = 2.5 is not an integer$"):
+        rank_scan(4, 3, h=0.5, reject_cap=2.5)
+    with pytest.raises(ValueError, match=r"^max_splits must be >= 0$"):
+        curve_length([[0.3, 2.0], [0.6, 2.0]], max_splits=-1)
 
 
 def test_rank_scan_reject_cap_names_lowest_trial():

@@ -24,6 +24,11 @@ from treemoduli.projline import (
     frame_map,
     normalize_quadruple,
 )
+from treemoduli.cover import cover_integral
+from treemoduli.moduli import BadIndex, Configuration, NotAPermutation, check_triple, curve_length, forgetful
+from treemoduli.moduli import rank_scan, relabel
+from treemoduli.plots import graph_samples, helix_samples
+from treemoduli.tangent import mul, torsion_point
 
 
 def random_points(rng, k, scale=1.0):
@@ -375,3 +380,45 @@ def test_degenerate_anchor():
         frame_map(ZERO, ZERO, ONE)
     with pytest.raises(DegenerateAnchor):
         normalize_quadruple(ZERO, ONE, INFINITY, INFINITY)
+
+
+# -- the library's one integer rule ------------------------------------------------
+
+
+C4 = Configuration((ZERO, ProjPoint.from_affine(0.3), ProjPoint.from_affine(0.6), ONE, INFINITY))
+C5 = Configuration((ZERO, *(ProjPoint.from_affine(x) for x in (0.2, 0.4, 0.6)), ONE, INFINITY))
+CROSS = [[0.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.0]]  # bisected at a seam
+
+# Every integer argument of the library, valid at 3: (name, call of one value, error type).
+INTEGER_ARGUMENTS = {
+    "check_triple": ("triple entry", lambda v: check_triple((1, v, 4), 5), BadIndex),
+    "forgetful": ("triple entry", lambda v: forgetful(C5, (1, 2, v)), BadIndex),
+    "relabel": ("label", lambda v: relabel([1, 2, v, 4], C4), NotAPermutation),
+    "rank_scan-n": ("n", lambda v: rank_scan(v, 3), ValueError),
+    "rank_scan-trials": ("trials", lambda v: rank_scan(4, v), ValueError),
+    "rank_scan-seed": ("seed", lambda v: rank_scan(4, 3, seed=v), ValueError),
+    "rank_scan-reject_cap": ("reject_cap", lambda v: rank_scan(4, 3, reject_cap=v), ValueError),
+    "curve_length-max_splits": ("max_splits", lambda v: curve_length(CROSS, max_splits=v), ValueError),
+    "mul": ("m", lambda v: mul(v, ProjPoint(1.0, 2.0)), ValueError),
+    "torsion_point-a": ("a", lambda v: torsion_point((v, 8)), ValueError),
+    "torsion_point-b": ("b", lambda v: torsion_point((1, v)), ValueError),
+    "cover_integral": ("order", cover_integral, ValueError),
+    "helix_samples": ("k", helix_samples, ValueError),
+    "graph_samples": ("k", graph_samples, ValueError),
+}
+
+
+@pytest.mark.parametrize("row", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, "3", None], ids=repr)
+def test_integer_argument_refuses_non_integers(row, bad):
+    name, call, error = INTEGER_ARGUMENTS[row]
+    with pytest.raises(error) as info:
+        call(bad)
+    assert info.type is error  # never OverflowError, TypeError or another ValueError
+    assert str(info.value) == f"{name} = {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize("row", INTEGER_ARGUMENTS)
+def test_integer_argument_takes_integral_values(row):
+    _name, call, _error = INTEGER_ARGUMENTS[row]
+    assert call(3.0) == call(np.int64(3)) == call(3)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -298,6 +299,16 @@ def test_torsion_examples():
     r3 = torsion_point(Fraction(1, 3))
     assert r3.affine == pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert chordal(mul(3, r3), ZERO) < 1e-12
+
+
+def test_torsion_point_input_errors_are_value_errors():
+    # a zero denominator and an infinite q are bad input, not arithmetic failures
+    for q in [(1, 0), (3, 0), math.inf, -math.inf]:
+        with pytest.raises(ValueError, match=f"^q = {re.escape(repr(q))} is not a rational number$") as info:
+            torsion_point(q)
+        assert not isinstance(info.value, ArithmeticError)
+    assert torsion_point(0.5).is_infinite
+    assert torsion_point((1, 3)) == torsion_point(Fraction(1, 3)) == torsion_point((np.int64(1), 3.0))
 
 
 def test_torsion_points_annihilated_by_denominator():
