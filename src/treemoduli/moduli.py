@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -175,8 +176,8 @@ def triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def check_triple(s: tuple[int, int, int], n: int) -> tuple[int, int, int]:
-    i, j, k = t = tuple(_integer(v, "triple entry", BadIndex) for v in s)
-    if not (1 <= i < j < k <= n):
+    t = tuple(_integer(v, "triple entry", BadIndex) for v in s)
+    if not (len(t) == 3 and 1 <= t[0] < t[1] < t[2] <= n):
         raise BadIndex(f"{tuple(s)} is not an increasing triple in 1..{n}")
     return t
 
@@ -385,14 +386,11 @@ _SCAN_BLOCK = 16
 _SCAN_CHUNK = 16 * _SCAN_BLOCK
 
 
-def _check_step(h: float, tol: float | None = None) -> float:
-    """h as a float; ValueError unless h is finite and positive and tol, if given, is in (0, 1)."""
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be finite and positive, got {h}")
-    if tol is not None and not 0.0 < float(tol) < 1.0:
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
-    return h
+def _check_step(h: float) -> float:
+    """h as a float; ValueError unless h is a finite and positive real number."""
+    if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    return float(h)
 
 
 def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
@@ -568,8 +566,8 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
 
         R is the _refusals rule of the piece's first failure (0 for none),
         M its margin and C the chart where the piece is evaluated or fails.
-        After the first block that fails, every later piece takes that
-        block's first failure, as no later piece can fail first.
+        Pieces after the first block that fails are not evaluated and keep
+        rule 0: they lie after its first failure in path order.
         """
         du = B - A
         C = 0.5 * (A + B)
@@ -596,8 +594,6 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
                 j, k = np.arange(len(cut)), (Rh[:, 0] == 0).astype(int)  # the lower half's failure, else the upper's
                 L[cut], R[cut], M[cut], C[cut] = Lh[:, 0] + Lh[:, 1], Rh[j, k], Mh[j, k], Ch[j, k]
             if R[s:s + block].any():
-                q = s + np.flatnonzero(R[s:])[0]
-                R[q:], M[q:], C[q:] = R[q], M[q], C[q]
                 break
         return L, R, M, C
 
@@ -626,9 +622,14 @@ def rank_scan(
     doubles of NumPy's default generator seeded with [seed, k], bit for
     bit, so the report is reproducible and order-independent; the streams
     are computed for a chunk of _SCAN_CHUNK trials at once, without
-    numpy.random, and a rejected draw is redrawn from its trial's stream.
-    Trials are evaluated in blocks: one stencil evaluation and one SVD
-    call per block, with the same bits as one Jacobian per trial.
+    numpy.random, and the chunk's first draw is screened at once.  Trials
+    are evaluated in blocks: one redraw loop, one stencil evaluation and
+    one SVD call per block, with the same bits as one Jacobian per trial.
+    A chart of rule 1 or 2 is redrawn, so a stream stops at its first try
+    of rule 0 or 3; the earliest such try of rule 3, then the lowest trial,
+    raises.  Round 0 is the first draw; each later round draws as many
+    charts ahead per open trial as it has tried, up to reject_cap tries,
+    and a stream is not read after its chart is accepted.
     """
     n, trials = _integer(n, "n"), _integer(trials, "trials")
     seed, reject_cap = _integer(seed, "seed"), _integer(reject_cap, "reject_cap")
@@ -638,7 +639,10 @@ def rank_scan(
         raise ValueError("trials must be >= 1")
     if reject_cap < 1:
         raise ValueError("reject_cap must be >= 1")
-    h = _check_step(h, tol)
+    h = _check_step(h)
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
+    tol = float(tol)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     from ._streams import pcg64_doubles, pcg64_streams
@@ -655,68 +659,45 @@ def rank_scan(
         """The _refusals rule of each chart of V (tries, streams, dim), as (tries, streams)."""
         return _refusals(V.reshape(-1, dim), h, trip, bk)[0].reshape(V.shape[:2])
 
-    def first_accepted(V: np.ndarray, rule: np.ndarray) -> np.ndarray:
-        """Per stream, the try of its first accepted chart among V (tries, streams, dim), or -1.
-
-        rule is screen(V).  A chart refused for a seam or a non-finite
-        coordinate is redrawn, so a stream stops at its first try that is
-        accepted (rule 0) or that the step does not move (rule 3).  Of the
-        streams stopped by rule 3, the first by try and then by stream raises.
-        """
-        tries, m = rule.shape
-        stop = (rule % 3).argmin(axis=0)  # the first try of rule 0 or 3; any try, of rule 1 or 2, where none
-        got = rule[stop, np.arange(m)]
-        q = np.where(got == 3, stop, tries).argmin()  # the earliest stuck try, then the lowest stream
-        if got[q] == 3:
-            raise _refusal(V[stop[q], q], 3, math.nan, h)
-        return np.where(got == 0, stop, -1)
-
-    def blocks():
-        """(trials, charts) per block; each rejected chart is redrawn from its own stream.
-
-        A round draws as many charts ahead for each rejected trial as it has
-        tried so far, up to reject_cap tries in all; a stream is not read
-        after its chart is accepted, so this changes no accepted chart.  The
-        first draw of a chunk is screened at once; as _refusals works row by
-        row, each block reads the rules it would have got alone.
-        """
-        for c0 in range(0, trials, _SCAN_CHUNK):
-            chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
-            state, inc = pcg64_streams(seed, chunk)
-            state, drawn = draw(state, inc, 1)
-            rules = screen(drawn)
-            for b0 in range(0, len(chunk), _SCAN_BLOCK):
-                U = drawn[0, b0:b0 + _SCAN_BLOCK]
-                rows, tries = np.flatnonzero(first_accepted(U[None], rules[:, b0:b0 + _SCAN_BLOCK]) < 0), 1
-                while len(rows) and tries < reject_cap:
-                    ahead = min(tries, reject_cap - tries)
-                    i = b0 + rows
-                    state[i], V = draw(state[i], inc[i], ahead)
-                    got = first_accepted(V, screen(V))
-                    ok = np.flatnonzero(got >= 0)
-                    U[rows[ok]] = V[got[ok], ok]
-                    rows, tries = rows[got < 0], tries + ahead
-                if len(rows):
-                    raise SeamTooClose(
-                        f"trial {chunk[b0 + rows[0]]}: no draw with seam margin above 10 h in {reject_cap} tries"
-                    )
-                yield chunk[b0:b0 + _SCAN_BLOCK], U
-
     full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
-    for ks, U in blocks():
-        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
-        short = np.flatnonzero(rank < dim)
-        full += len(ks) - len(short)
-        if counterexample is None and len(short):
-            counterexample = [float(v) for v in U[short[0]]]
-        min_rank = min(min_rank, int(rank.min()))
-        worst_ratio = min(worst_ratio, float(ratio.min()))
+    for c0 in range(0, trials, _SCAN_CHUNK):
+        chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
+        state, inc = pcg64_streams(seed, chunk)
+        state, drawn = draw(state, inc, 1)
+        rules = screen(drawn)
+        for b0 in range(0, len(chunk), _SCAN_BLOCK):
+            U = drawn[0, b0:b0 + _SCAN_BLOCK]
+            rows, V, rule, tries = np.arange(len(U)), U[None], rules[:, b0:b0 + _SCAN_BLOCK], 1
+            while True:
+                stop = (rule % 3).argmin(axis=0)  # the first try of rule 0 or 3, else any try
+                got = rule[stop, np.arange(len(rows))]
+                q = np.where(got == 3, stop, len(rule)).argmin()  # the earliest stuck try, then the lowest trial
+                if got[q] == 3:
+                    raise _refusal(V[stop[q], q], 3, math.nan, h)
+                ok = np.flatnonzero(got == 0)
+                U[rows[ok]] = V[stop[ok], ok]
+                rows = rows[got != 0]
+                if not len(rows) or tries == reject_cap:
+                    break
+                ahead = min(tries, reject_cap - tries)
+                state[b0 + rows], V = draw(state[b0 + rows], inc[b0 + rows], ahead)
+                rule, tries = screen(V), tries + ahead
+            if len(rows):
+                trial = chunk[b0 + rows[0]]
+                raise SeamTooClose(f"trial {trial}: no draw with seam margin above 10 h in {reject_cap} tries")
+            rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
+            short = np.flatnonzero(rank < dim)
+            full += len(U) - len(short)
+            if counterexample is None and len(short):
+                counterexample = [float(v) for v in U[short[0]]]
+            min_rank = min(min_rank, int(rank.min()))
+            worst_ratio = min(worst_ratio, float(ratio.min()))
     return {
         "n": n,
         "trials": trials,
         "seed": seed,
-        "h": float(h),
-        "tol": float(tol),
+        "h": h,
+        "tol": tol,
         "full_rank_count": full,
         "min_rank": min_rank,
         "worst_sigma_ratio": worst_ratio,

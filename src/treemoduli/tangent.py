@@ -165,9 +165,10 @@ def torsion_point(q: Fraction | int | tuple[int, int]) -> ProjPoint:
     values are returned exactly: 0 -> 0, 1/2 -> infinity, 1/4 -> 1,
     3/4 -> -1.  The denominator of q annihilates the result under mul.
     """
+    pair = isinstance(q, tuple) and len(q) == 2
     try:
-        q = Fraction(_integer(q[0], "a"), _integer(q[1], "b")) if isinstance(q, tuple) else Fraction(q)
-    except (ZeroDivisionError, OverflowError) as exc:  # (a, 0) and infinite q
+        q = Fraction(_integer(q[0], "a"), _integer(q[1], "b")) if pair else Fraction(q)
+    except (ZeroDivisionError, OverflowError, TypeError) as exc:  # (a, 0), infinite q, no number or pair
         raise ValueError(f"q = {q!r} is not a rational number") from exc
     q %= 1
     if q == 0:

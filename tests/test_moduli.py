@@ -22,6 +22,7 @@ from treemoduli.moduli import (
     albanese_jacobian,
     chart_coords,
     chart_embed,
+    check_triple,
     curve_length,
     forgetful,
     jacobian_rank,
@@ -177,6 +178,12 @@ def test_forgetful_examples():
     with pytest.raises(BadIndex):
         forgetful(c, ("1", "2", "3"))
     assert forgetful(c, (np.int64(1), 2.0, 3)) == forgetful(c, (1, 2, 3))
+
+
+@pytest.mark.parametrize("t", [(), (1, 2), (1, 2, 3, 4)], ids=repr)
+def test_check_triple_of_the_wrong_length_is_a_bad_index(t):
+    with pytest.raises(BadIndex, match=f"^{re.escape(repr(t))} is not an increasing triple in 1..4$"):
+        check_triple(t, 4)
 
 
 def test_triple_coord_examples():
@@ -1001,6 +1008,28 @@ def test_curve_length_along_a_seam_stops_after_the_first_failing_block(monkeypat
     assert 0 < sum(refused) < 3000
 
 
+def test_curve_length_does_not_depend_on_the_block_size(monkeypatch):
+    # Paths that fail in many blocks at one piece per block, and paths that
+    # are bisected at seams, give the same length, or error type and
+    # message, as at the default block size.
+    import treemoduli.moduli as mod
+
+    paths = [
+        ([[0.3 + 0.01 * k, 0.3 + 0.01 * k] for k in range(21)], {}),  # on u_1 = u_2: every piece fails
+        ([[0.3 + 0.01 * k, 0.3 + 0.01 * k, 2.5, 3.5] for k in range(21)], {"max_splits": 8}),
+        ([[0.2, 2.0], [0.3, 2.0], [0.3, 0.3], [0.6, 0.6], [0.9, 2.0]], {"max_splits": 2}),
+        ([[-1.67], [-1.64], [0.9]], {"h": 0.5}),  # every chart is refused
+        ([[0.9, 0.5], [1.1, 0.5], [2.0, 3.0]], {"h": 1e-300}),  # every stencil is stuck
+        ([[1.0 - 1e-7, 2.0], [1.0 + 1e-7, 2.0], [1e308, 2.0], [1.7e308, 2.0]], {"max_splits": 0}),
+        ([[0.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.0], [1.5 + 1e-7, 2.5]], {"max_splits": 1}),
+        (seeded_path(np.random.default_rng(61), 5), {}),
+    ]
+    want = [length_or_error(curve_length, rows, **kw) for rows, kw in paths]
+    assert sum(isinstance(w, tuple) for w in want) == 6
+    monkeypatch.setattr(mod, "_PATH_BUDGET", 1)
+    assert [length_or_error(curve_length, rows, **kw) for rows, kw in paths] == want
+
+
 # -- rank scan ----------------------------------------------------------------------------
 
 
@@ -1332,6 +1361,43 @@ def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
     assert [("screen", m * tries) for _, m, tries in draws] == screens  # each draw screened in one call
     assert [c for c in draws if c[1] > 16] == [("draw", 256, 1)] * 3 + [("draw", 232, 1)]
     assert len(screens) == 4 + 1
+
+
+def test_rank_scan_cap_failure_draws_only_the_failing_block(monkeypatch):
+    # At h = 0.5 every chart is refused: block 0 redraws its 16 streams up
+    # to the reject cap and raises, and no other stream is drawn again.
+    import treemoduli._streams as streams
+
+    draws = []
+    doubles = streams.pcg64_doubles
+
+    def counting_doubles(state, inc, count):
+        draws.append((len(inc), count // 6))
+        return doubles(state, inc, count)
+
+    monkeypatch.setattr(streams, "pcg64_doubles", counting_doubles)
+    with pytest.raises(SeamTooClose, match=r"^trial 0: no draw"):
+        rank_scan(8, 1000, h=0.5)
+    assert draws[0] == (256, 1)
+    assert all(m == 16 for m, _ in draws[1:])
+    assert sum(tries for _, tries in draws) == 1000
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_scan(4, 3, tol=None), "tol must lie strictly between 0 and 1, got None"),
+        (lambda: rank_scan(4, 3, tol="0.5"), "tol must lie strictly between 0 and 1, got '0.5'"),
+        (lambda: rank_scan(4, 3, h=None), "h must be finite and positive, got None"),
+        (lambda: metric_matrix(ChartPoint((0.3, 0.5)), None), "h must be finite and positive, got None"),
+        (lambda: curve_length([[0.3], [0.6]], h="1e-6"), "h must be finite and positive, got '1e-6'"),
+    ],
+    ids=["scan-tol-None", "scan-tol-str", "scan-h-None", "metric-h-None", "path-h-str"],
+)
+def test_step_and_tolerance_that_are_not_numbers_are_value_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
 
 
 def test_rank_scan_refuses_negative_seed():

@@ -311,6 +311,13 @@ def test_torsion_point_input_errors_are_value_errors():
     assert torsion_point((1, 3)) == torsion_point(Fraction(1, 3)) == torsion_point((np.int64(1), 3.0))
 
 
+@pytest.mark.parametrize("q", [None, 1j, (1,), (1, 2, 3)], ids=repr)
+def test_torsion_point_of_no_number_or_pair_is_a_value_error(q):
+    with pytest.raises(ValueError, match=f"^q = {re.escape(repr(q))} is not a rational number$") as info:
+        torsion_point(q)
+    assert info.type is ValueError
+
+
 def test_torsion_points_annihilated_by_denominator():
     for b in range(1, 13):
         for a in range(b):
