@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import cover, moduli, plots, tangent
 from .projline import INFINITY, ProjPoint, cross_ratio
@@ -181,14 +180,14 @@ def _load_configuration(args) -> moduli.Configuration:
         return moduli.Configuration.from_json(json.load(fh))
 
 
-def _parse_chart(text: str) -> moduli.ChartPoint:
-    """Chart from comma-separated decimals; ParseError if one is not finite (1e400, nan, inf)."""
+def _parse_chart(text: str) -> tuple[float, ...]:
+    """Chart coordinates from comma-separated decimals; ParseError if one is not finite (1e400, nan, inf)."""
     tokens = text.split(",")
     u = tuple(float(v) for v in tokens)
     for tok, v in zip(tokens, u):
         if not math.isfinite(v):
             raise ParseError(f"chart token {tok.strip()!r} is not a finite number")
-    return moduli.ChartPoint(u)
+    return u
 
 
 def _is_number(token: str) -> bool:
@@ -199,7 +198,7 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _read_chart_rows(args) -> list[moduli.ChartPoint]:
+def _read_chart_rows(args) -> list[tuple[float, ...]]:
     if not args.input:
         raise ParseError("curve-length needs --input PATH or --input -")
     if args.input == "-":
@@ -245,6 +244,8 @@ def _dispatch(args, out) -> None:
         elif args.groupcmd == "neg":
             out.write(fmt_point(tangent.neg(parse_point(args.point))) + "\n")
         else:
+            from fractions import Fraction
+
             try:
                 q = Fraction(args.q)
             except (ValueError, ZeroDivisionError) as exc:
@@ -269,7 +270,7 @@ def _dispatch(args, out) -> None:
         out.write(json.dumps(doc) + "\n")
 
     elif args.cmd == "metric":
-        chart = _parse_chart(args.chart)
+        chart = moduli.ChartPoint(_parse_chart(args.chart))
         g = moduli.metric_matrix(chart, args.h)
         doc = {"n": chart.n, "h": args.h, "chart": list(chart.u), "matrix": g.tolist()}
         out.write(_emit_json(doc) + "\n")

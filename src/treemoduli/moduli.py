@@ -17,7 +17,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .cover import CirclePoint, _branch, circle_cover
@@ -372,9 +371,9 @@ def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:
-    """The averaged metric J^T J / T of one Jacobian, symmetrised."""
-    g = jac.T @ jac / float(len(jac))
-    return 0.5 * (g + g.T)
+    """The averaged metric J^T J / T of a Jacobian, or of each of a (..., T, dim) stack, symmetrised."""
+    g = jac.swapaxes(-1, -2) @ jac / float(jac.shape[-2])
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 # Trials per rank_scan block: about 1e4 stencil values at n = 8.  Larger
@@ -424,6 +423,8 @@ def _exact_jacobian(u: ChartPoint) -> list[list[Fraction]]:
     k' = (den / branch den)^2.  Raises InvalidChart unless 0, the chart
     values and 1 are pairwise distinct.
     """
+    from fractions import Fraction
+
     vals = [Fraction(0), *map(Fraction, u.u), Fraction(1)]
     if len(set(vals)) < len(vals):
         raise InvalidChart("chart coordinates coincide with each other or with 0 or 1")
@@ -521,9 +522,12 @@ def relabel(perm, c: Configuration) -> Configuration:
     return Configuration(tuple(pts))
 
 
-# T * dim stencil values per curve_length block: 1024 charts at n = 4,
-# one at n = 16.  Larger blocks hold more stencil memory at once and save
-# little time.
+# curve_length's one block constant: a refusal screen takes
+# _PATH_BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16), a stencil
+# _PATH_BUDGET // (T * dim) charts (1024 at n = 4, one at n = 16).  At
+# n = 16 a stencil holds about 260 KiB per chart and a screen about 35 KiB:
+# screens of one piece spend the time in call overhead, while more charts
+# per stencil, or screens of 2 T pieces, raise the peak RSS there.
 _PATH_BUDGET = 8192
 
 
@@ -536,10 +540,11 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     the points 1/4, 3/4, 1/10, 9/10, 0 and 1 of the way along the piece
     with enough seam margin, or else the midpoint's SeamTooClose stands.
     An InvalidChart is never bisected.  The pieces of one split depth are
-    evaluated in blocks, one _refusals screen of the midpoints, one of the
-    fallback points at the cap and one stencil per block.  Each piece
-    carries its _refusals rule, seam margin and chart; only the first
-    failing piece in path order has its error built and raised.
+    screened in blocks, one _refusals screen of the midpoints and one of the
+    fallback points at the cap per block, and a block's accepted charts get
+    their stencils, pullbacks and quadratic forms a stacked step at a time.
+    Each piece carries its _refusals rule, seam margin and chart; only the
+    first failing piece in path order has its error built and raised.
     """
     h, max_splits = _check_step(h), _integer(max_splits, "max_splits")
     if max_splits < 0:
@@ -558,7 +563,8 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     P = np.array(pts)
     dim = P.shape[1]
     trip, bk = _triple_arrays(dim + 2)
-    block = max(1, _PATH_BUDGET // max(1, math.comb(dim + 2, 3) * dim))
+    block = max(1, _PATH_BUDGET // (4 * len(trip)))  # pieces per screen
+    step = max(1, _PATH_BUDGET // (len(trip) * dim))  # charts per stencil
     f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # fallback points, tried in this order
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
@@ -585,8 +591,10 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
                 i, k = cut[j], k[j]
                 R[i], M[i], C[i] = rule[j, k], margin[j, k], F[j, k]
             ok = live[R[live] == 0]
-            G = map(_pullback, _central_jacobians(C[ok], h, trip, bk))
-            L[ok] = [math.sqrt(max(float(d @ g @ d), 0.0)) for d, g in zip(du[ok], G)]
+            for q in (ok[o:o + step] for o in range(0, len(ok), step)):
+                d = du[q, None]
+                G = _pullback(_central_jacobians(C[q], h, trip, bk))
+                L[q] = np.sqrt(np.maximum(d @ G @ d.swapaxes(-1, -2), 0.0))[:, 0, 0]
             if len(cut) and depth > 0:
                 ends = np.stack([A[cut], C[cut], B[cut]], axis=1)  # halves in path order
                 got = lengths(ends[:, :2].reshape(-1, dim), ends[:, 1:].reshape(-1, dim), depth - 1)

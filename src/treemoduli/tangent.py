@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint, _integer
 
@@ -165,6 +164,8 @@ def torsion_point(q: Fraction | int | tuple[int, int]) -> ProjPoint:
     values are returned exactly: 0 -> 0, 1/2 -> infinity, 1/4 -> 1,
     3/4 -> -1.  The denominator of q annihilates the result under mul.
     """
+    from fractions import Fraction
+
     pair = isinstance(q, tuple) and len(q) == 2
     try:
         q = Fraction(_integer(q[0], "a"), _integer(q[1], "b")) if pair else Fraction(q)

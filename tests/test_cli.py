@@ -739,6 +739,20 @@ def test_rank_scan_never_imports_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # Fraction is imported by the code that uses it: group torsion among the commands
+    proc = run_child(
+        "-c",
+        "import io, sys, treemoduli.cli; "
+        "loaded = {'fractions', 'decimal'} & set(sys.modules); "
+        "assert not loaded, f'import treemoduli.cli loaded {sorted(loaded)}'; "
+        "buf = io.StringIO(); code = treemoduli.cli.main(['group', 'torsion', '3/8'], out=buf); "
+        "print(code, buf.getvalue(), end='')",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 2.41421356237\n" == "0 " + run_ok("group", "torsion", "3/8")
+
+
 def test_help_exits_zero():
     code, _ = run("--help")
     assert code == 0

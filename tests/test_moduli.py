@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from treemoduli.moduli import (
     _exact_jacobian,
     _exact_rank,
     _incidence,
+    _pullback,
     _rank_and_ratio,
     _refusal,
     _refusals,
@@ -1028,6 +1030,84 @@ def test_curve_length_does_not_depend_on_the_block_size(monkeypatch):
     assert sum(isinstance(w, tuple) for w in want) == 6
     monkeypatch.setattr(mod, "_PATH_BUDGET", 1)
     assert [length_or_error(curve_length, rows, **kw) for rows, kw in paths] == want
+
+
+def bench_path(n):
+    """A path shaped like the benchmark's curve-length inputs: 300 segments at n = 16, 1000 at n = 4."""
+    return seeded_path(np.random.default_rng([71, n]), n, legs=12 if n == 16 else 40, per_leg=25)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_stacked_pullback_and_quadratic_form_equal_the_per_chart_ones(n):
+    # Bit for bit against one Jacobian at a time, J^T J / T symmetrised and
+    # sqrt(max(d G d, 0)), on stacks of 0, 1 and several charts.
+    rng = np.random.default_rng([73, n])
+    trip, bk = _triple_arrays(n)
+    dim = n - 2
+    assert _pullback(np.zeros((0, len(trip), dim))).shape == (0, dim, dim)
+    U = np.array([random_chart(rng, n, margin=1e-3).u for _ in range(7)])
+    D = rng.uniform(-2.0, 2.0, U.shape)
+    jac = _central_jacobians(U, 1e-6, trip, bk)
+    for m in (1, 7):
+        G = _pullback(jac[:m])
+        L = np.sqrt(np.maximum(D[:m, None] @ G @ D[:m, :, None], 0.0))[:, 0, 0]
+        for k in range(m):
+            g = jac[k].T @ jac[k] / float(len(trip))
+            g = 0.5 * (g + g.T)
+            assert G[k].tobytes() == g.tobytes() == metric_matrix(ChartPoint(tuple(U[k]))).tobytes()
+            assert L[k] == math.sqrt(max(float(D[k] @ g @ D[k]), 0.0))
+
+
+def test_benchmark_shaped_n16_path_does_not_depend_on_the_block_size(monkeypatch):
+    import treemoduli.moduli as mod
+
+    rows = bench_path(16)
+    want = loop_curve_length(rows)
+    assert curve_length(rows) == want
+    for budget in (1, 10**9):
+        monkeypatch.setattr(mod, "_PATH_BUDGET", budget)
+        assert curve_length(rows) == want
+
+
+def peak_bytes(f, *args):
+    """tracemalloc peak of f(*args), after one untraced call fills the caches."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch):
+    # The bounds are figures of the earlier blocking, one screen per stencil
+    # block (numpy 2.4): 320 _refusals calls on the benchmark-shaped n = 16
+    # path, where a stencil block is one chart, and tracemalloc peaks of
+    # 440 KiB there and 975 KiB at n = 4 over 1000 segments.  A screen now
+    # takes 3 pieces at n = 16, and a stencil still one chart.
+    import treemoduli.moduli as mod
+
+    rows = bench_path(16)
+    screened, stencilled = [], []
+    screen, stencil = mod._refusals, mod._central_jacobians
+
+    def counting_screen(U, *args):
+        screened.append(len(U))
+        return screen(U, *args)
+
+    def counting_stencil(U, *args):
+        stencilled.append(len(U))
+        return stencil(U, *args)
+
+    monkeypatch.setattr(mod, "_refusals", counting_screen)
+    monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
+    curve_length(rows)
+    assert len(screened) <= 0.4 * 320
+    assert max(stencilled) == 1
+    monkeypatch.undo()
+    assert peak_bytes(curve_length, rows) <= 1.15 * 450391
+    assert peak_bytes(curve_length, bench_path(4)) <= 998288
 
 
 # -- rank scan ----------------------------------------------------------------------------
