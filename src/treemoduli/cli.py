@@ -64,11 +64,11 @@ def fmt_point(p: ProjPoint) -> str:
 def _round12(obj):
     """obj with its floats rounded to 12 digits; calls itself on containers only, so ints cost no call."""
     if isinstance(obj, (list, tuple)):
-        return [float(_g12(v)) if isinstance(v, float) else v if isinstance(v, int) else _round12(v) for v in obj]
+        return [float(format(v, ".12g")) if isinstance(v, float) else v if isinstance(v, int) else _round12(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, float):
-        return float(_g12(obj))
+        return float(format(obj, ".12g"))
     return obj
 
 

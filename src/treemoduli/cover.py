@@ -12,7 +12,6 @@ rooted three-leaf tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .projline import (
@@ -22,6 +21,7 @@ from .projline import (
     ZERO,
     ProjPoint,
     _integer,
+    _Value,
     chordal,
     cross_ratio,
 )
@@ -51,21 +51,23 @@ class LiftStepTooLarge(ArithmeticError):
     """Consecutive loop samples too far apart for a well-defined lift."""
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(_Value):
     """Element of R/Z, stored as the representative in [0, 1)."""
 
-    t: float
+    __slots__ = ("t",)
 
     def __init__(self, t: float):
-        # not __post_init__: one store per point, and the exact path builds one per value
         r = t % 1.0
         if r >= 1.0:  # t % 1.0 can round up to 1.0 for tiny negative t
             r = 0.0
-        object.__setattr__(self, "t", r)
+        _set_t(self, r)
 
     def __float__(self) -> float:
         return self.t
+
+
+# The slot's own setter, cheaper than object.__setattr__: the exact path builds one point per value.
+_set_t = CirclePoint.t.__set__
 
 
 def circle_distance(s: CirclePoint | float, t: CirclePoint | float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cover import CirclePoint, _branch, circle_cover
@@ -32,6 +31,7 @@ from .projline import (
     _cross_checked,
     _det,
     _integer,
+    _Value,
     chordal,
     cross_ratio,
     frame_map,
@@ -102,17 +102,16 @@ class NonFiniteEntry(ValueError):
     """Matrix contains NaN or infinite entries."""
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """Ordered marked points (x_0, ..., x_n) with the root at index 0."""
 
-    points: tuple[ProjPoint, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, points: tuple[ProjPoint, ...]):
+        pts = tuple(points)
         if len(pts) < 4:
             raise ValueError("a configuration needs n >= 3, i.e. at least 4 points")
-        object.__setattr__(self, "points", pts)
+        super().__init__(pts)
 
     @property
     def n(self) -> int:
@@ -147,19 +146,18 @@ class Configuration:
         return cfg
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(_Value):
     """Gauge-fixed coordinates: affine positions of x_1..x_{n-2}."""
 
-    u: tuple[float, ...]
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        u = tuple(float(v) for v in self.u)
+    def __init__(self, u: tuple[float, ...]):
+        u = tuple(float(v) for v in u)
         if not u:
             raise ValueError("chart needs at least one coordinate (n >= 3)")
         if not all(math.isfinite(v) for v in u):
             raise InvalidChart("chart coordinates must be finite")
-        object.__setattr__(self, "u", u)
+        super().__init__(u)
 
     @property
     def n(self) -> int:
@@ -234,13 +232,19 @@ def triple_coord(c: Configuration, s: tuple[int, int, int]) -> CirclePoint:
 def albanese(c: Configuration) -> list[CirclePoint]:
     """All triple coordinates, in lexicographic triple order.
 
-    triple_coord of each triple bit for bit, taken on the stored pairs without a point per value.
+    triple_coord of each triple bit for bit, taken on the stored pairs
+    without a point per value.  The determinant d[p][q] of each two pairs
+    is formed once, and triple (i, j, k) takes (d[0][i] d[j][k],
+    d[0][j] d[i][k]): the products _cross makes, in the same order.
     """
     pairs = [(p.a, p.b) for p in c.points]
-    a0, b0 = pairs[0]
+    d = [[_det(*p, *q) for q in pairs] for p in pairs]
+    d0 = d[0]
     values = []
     for i, j, k in triples(c.n):
-        num, den = _cross_checked(a0, b0, *pairs[i], *pairs[j], *pairs[k])
+        num, den = d0[i] * d[j][k], d0[j] * d[i][k]
+        if num == 0.0 and den == 0.0:
+            _cross_checked(*pairs[0], *pairs[i], *pairs[j], *pairs[k])  # the same products: raises its 0/0 error
         _, num, den, _ = _branch(*_canon(num, den))
         values.append(CirclePoint(num / den))
     return values

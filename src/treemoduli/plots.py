@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .cover import CirclePoint, _branch, circle_distance, devadoss_length
-from .projline import ProjPoint, _integer
+from .projline import ProjPoint, _integer, _Value
 from .tangent import cayley, stereo_param
 
 __all__ = [
@@ -42,20 +41,19 @@ class CoincidentIdealPoints(ArithmeticError):
     """No geodesic between coincident ideal points."""
 
 
-@dataclass(frozen=True)
-class ArcDescriptor:
+class ArcDescriptor(_Value):
     """Disk geodesic between two ideal points, given by angles in R/Z.
 
-    A diameter when the points are antipodal, otherwise the arc of the
-    circle through both that meets the unit circle orthogonally
-    (|center|^2 = 1 + radius^2).
+    A diameter (kind "diameter", no center or radius) when the points are
+    antipodal, otherwise (kind "circular") the arc of the circle through
+    both that meets the unit circle orthogonally (|center|^2 = 1 + radius^2).
     """
 
-    kind: str  # "diameter" | "circular"
-    t1: float
-    t2: float
-    center: tuple[float, float] | None = None
-    radius: float | None = None
+    __slots__ = ("kind", "t1", "t2", "center", "radius")
+
+    def __init__(self, kind: str, t1: float, t2: float,
+                 center: tuple[float, float] | None = None, radius: float | None = None):
+        super().__init__(kind, t1, t2, center, radius)
 
     def endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
         e = lambda t: (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
@@ -97,20 +95,17 @@ def _angle(z: complex) -> float:
     return (math.atan2(z.imag, z.real) / (2.0 * math.pi)) % 1.0
 
 
-@dataclass(frozen=True)
-class Tree3Figure:
+class Tree3Figure(_Value):
     """Disk data for the rooted tree on four boundary points.
 
     The two pair arcs are split at their apexes into four leaf stubs;
     the schematic internal edge joins the apexes.  gamma is the signed
     internal-edge length, infinite on boundary (collision) quadruples.
+    The fields are angles (four floats), arcs (ArcDescriptors),
+    internal_edge (two apexes, or None), gamma (a ProjPoint) and boundary.
     """
 
-    angles: tuple[float, float, float, float]
-    arcs: tuple[ArcDescriptor, ...]
-    internal_edge: tuple[tuple[float, float], tuple[float, float]] | None
-    gamma: ProjPoint
-    boundary: bool
+    __slots__ = ("angles", "arcs", "internal_edge", "gamma", "boundary")
 
 
 def tree3_figure(
@@ -128,13 +123,11 @@ def tree3_figure(
     edge = None
     if len(arcs) == 2:
         edge = (arcs[0].apex(), arcs[1].apex())
-    return Tree3Figure(
-        angles=angles,
-        arcs=tuple(arcs),
-        internal_edge=edge,
-        gamma=gamma,
-        boundary=gamma.is_infinite or len(arcs) < 2,
-    )
+    return Tree3Figure(angles, tuple(arcs), edge, gamma, gamma.is_infinite or len(arcs) < 2)
+
+
+# The emitters hold every sample in memory; 2**20 is 64 times the k = 16384 of the exact benchmark.
+_MAX_SAMPLES = 2**20
 
 
 def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
@@ -142,6 +135,8 @@ def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
     k = _integer(k, "k")
     if k < 2:
         raise ValueError("need at least two samples")
+    if k > _MAX_SAMPLES:
+        raise ValueError(f"k = {k} is above the limit of 2**20 = {_MAX_SAMPLES} samples")
     for j in range(k):
         s = -0.5 + j / (k - 1)
         x = stereo_param(s - 0.25)

@@ -60,6 +60,48 @@ def _integer(v, name: str, error: type[Exception] = ValueError) -> int:
     raise error(f"{name} = {v!r} is not an integer")
 
 
+class _Value:
+    """Immutable value whose fields are its __slots__, in order.
+
+    Setting or deleting an attribute raises AttributeError.  Equality and
+    hash go by class and field tuple and the repr is dataclass-style;
+    copy, deepcopy and pickle rebuild the object by calling its class
+    with the fields, so a subclass's __init__ takes them in slot order.
+    The default __init__ stores them as given.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}, got {len(fields)} values")
+        for name, v in zip(self.__slots__, fields):
+            object.__setattr__(self, name, v)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
 def _canon(a: float, b: float) -> tuple[float, float]:
     """The pair ProjPoint stores for a finite nonzero [a : b] (see its docstring); never -0.0."""
     shift = 1 - math.frexp(a if abs(a) > abs(b) else b)[1]
@@ -70,7 +112,7 @@ def _canon(a: float, b: float) -> tuple[float, float]:
     return a + 0.0, b + 0.0
 
 
-class ProjPoint:
+class ProjPoint(_Value):
     """A point of the real projective line, stored as a pair [a : b].
 
     The stored pair is rescaled by an exact power of two so that
@@ -90,11 +132,8 @@ class ProjPoint:
         if a == 0.0 and b == 0.0:
             raise ValueError("[0 : 0] is not a projective point")
         a, b = _canon(a, b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
+        _set_a(self, a)
+        _set_b(self, b)
 
     @classmethod
     def from_affine(cls, x: float) -> "ProjPoint":
@@ -166,6 +205,10 @@ class ProjPoint:
         return cls.from_affine(_finite_number(obj))
 
 
+# The slots' own setters: cheaper than object.__setattr__ in the hottest constructor.
+_set_a, _set_b = ProjPoint.a.__set__, ProjPoint.b.__set__
+
+
 def _finite_number(v) -> float:
     """A JSON number as a finite float; ValueError for any other value."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -218,7 +261,7 @@ def chordal(p: ProjPoint, q: ProjPoint) -> float:
     return num / (math.hypot(p.a, p.b) * math.hypot(q.a, q.b))
 
 
-class MobiusMap:
+class MobiusMap(_Value):
     """Real 2x2 matrix with finite nonzero determinant, acting by x -> (ax+b)/(cx+d).
 
     Scalar multiples act identically on the projective line.
@@ -233,13 +276,7 @@ class MobiusMap:
                 raise DegenerateMatrix("matrix entries must be finite")
         if not math.isfinite(det := _det(a, c, b, d)) or det == 0.0:
             raise DegenerateMatrix(f"matrix determinant {det!r} is zero or not finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MobiusMap is immutable")
+        super().__init__(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "MobiusMap":
@@ -273,7 +310,7 @@ class MobiusMap:
         return f"MobiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-class S3Element:
+class S3Element(_Value):
     """One of the six fractional linear symmetries of {0, 1, infinity}.
 
     The group is generated by the involutions x -> 1 - x (swapping 0, 1)
@@ -283,13 +320,9 @@ class S3Element:
 
     __slots__ = ("name", "matrix", "perm")
 
-    def __init__(self, name: str, matrix: MobiusMap, perm: tuple[int, int, int]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("S3Element is immutable")
+    def __reduce__(self):
+        # the six elements are singletons: a copy or an unpickled element is the same one
+        return S3Element.from_word, ((self.name,),)
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
         return self.matrix(p)

@@ -10,9 +10,8 @@ exponential and tan(pi q) for rational q as its torsion points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint, _integer
+from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint, _integer, _Value
 
 __all__ = [
     "circle_exp",
@@ -86,16 +85,14 @@ def stereo_param(t: float) -> ProjPoint:
     return ProjPoint(math.sin(theta), math.cos(theta))
 
 
-@dataclass(frozen=True)
-class SU11Matrix:
+class SU11Matrix(_Value):
     """Matrix [[u, v], [conj v, conj u]] with |u|^2 - |v|^2 = 1.
 
     Acts on the complex plane by the fractional linear map
     z -> (u z + v)/(conj(v) z + conj(u)) and preserves the unit circle.
     """
 
-    u: complex
-    v: complex
+    __slots__ = ("u", "v")  # complex
 
     @property
     def unit_defect(self) -> float:

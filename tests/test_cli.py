@@ -740,17 +740,27 @@ def test_rank_scan_never_imports_numpy_random():
 
 
 def test_cli_import_loads_neither_fractions_nor_decimal():
-    # Fraction is imported by the code that uses it: group torsion among the commands
+    # Fraction is imported by the code that uses it: group torsion among the commands;
+    # the value types are __slots__ classes, so dataclasses and inspect are not loaded either
     proc = run_child(
         "-c",
         "import io, sys, treemoduli.cli; "
-        "loaded = {'fractions', 'decimal'} & set(sys.modules); "
+        "loaded = {'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, f'import treemoduli.cli loaded {sorted(loaded)}'; "
         "buf = io.StringIO(); code = treemoduli.cli.main(['group', 'torsion', '3/8'], out=buf); "
         "print(code, buf.getvalue(), end='')",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 2.41421356237\n" == "0 " + run_ok("group", "torsion", "3/8")
+
+
+@pytest.mark.parametrize("k", [2**20 + 1, 10**20])
+@pytest.mark.parametrize("plot", ["helix", "kappa-graph"])
+def test_plot_refuses_k_above_2_20_before_sampling(plot, k):
+    # in a child with a timeout: an emitter that sampled first would run until killed
+    proc = run_child("-m", "treemoduli", "plot", plot, "--k", str(k), timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"treemoduli: k = {k} is above the limit of 2**20 = 1048576 samples\n"
 
 
 def test_help_exits_zero():

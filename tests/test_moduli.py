@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treemoduli.cover import circle_cover, circle_distance, devadoss_length, logit
@@ -278,8 +278,20 @@ def homogeneous_configurations(draw):
     return Configuration(tuple(pts))
 
 
+def benchmark_shaped_configuration(n: int, seed: int) -> Configuration:
+    """n + 1 points tan(pi (r - 1/2)), every eighth as a homogeneous pair [x b : b] with b in [1/2, 2]."""
+    rng = np.random.default_rng(seed)
+    x = np.tan(np.pi * (rng.random(n + 1) - 0.5))
+    pts = []
+    for i, v in enumerate(x):
+        b = float(rng.uniform(0.5, 2.0)) if i % 8 == 7 else 1.0
+        pts.append(ProjPoint(float(v) * b, b))
+    return Configuration(tuple(pts))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(homogeneous_configurations())
+@example(benchmark_shaped_configuration(48, seed=0))  # the determinant table's indices at n = 48
 def test_albanese_is_triple_coord_bit_for_bit(c):
     # albanese evaluates the stored pairs without building points; it must
     # give triple_coord's value for every triple, or raise its 0/0 error

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from treemoduli.cover import CirclePoint, circle_cover, circle_distance, devadoss_length
 from treemoduli.plots import (
     CoincidentIdealPoints,
+    _loop,
     arcs_csv,
     disk_svg,
     graph_csv,
@@ -137,6 +138,14 @@ def test_helix_minimal_samples():
         with pytest.raises(ValueError):
             sample(2.5)
         assert sample(np.int64(3)) == sample(3.0) == sample(3)
+
+
+def test_loop_takes_at_most_2_20_samples():
+    # the generator checks k before its first sample, so 2**20 costs one sample here
+    assert next(_loop(2**20))[0] == -0.5
+    for emit in (helix_samples, graph_samples):
+        with pytest.raises(ValueError, match=r"^k = 1048577 is above the limit of 2\*\*20 = 1048576 samples$"):
+            emit(2**20 + 1)
 
 
 def test_graph_samples_have_pole_rows():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,11 +26,11 @@ from treemoduli.projline import (
     frame_map,
     normalize_quadruple,
 )
-from treemoduli.cover import cover_integral
-from treemoduli.moduli import BadIndex, Configuration, NotAPermutation, check_triple, curve_length, forgetful
-from treemoduli.moduli import rank_scan, relabel
-from treemoduli.plots import graph_samples, helix_samples
-from treemoduli.tangent import mul, torsion_point
+from treemoduli.cover import CirclePoint, cover_integral
+from treemoduli.moduli import BadIndex, ChartPoint, Configuration, NotAPermutation, check_triple, curve_length
+from treemoduli.moduli import forgetful, rank_scan, relabel
+from treemoduli.plots import graph_samples, helix_samples, ideal_geodesic, tree3_figure
+from treemoduli.tangent import SU11Matrix, mul, torsion_point
 
 
 def random_points(rng, k, scale=1.0):
@@ -422,3 +424,53 @@ def test_integer_argument_refuses_non_integers(row, bad):
 def test_integer_argument_takes_integral_values(row):
     _name, call, _error = INTEGER_ARGUMENTS[row]
     assert call(3.0) == call(np.int64(3)) == call(3)
+
+
+# -- value types ----------------------------------------------------------------
+
+
+def value_objects():
+    """One object of each immutable value type, with the name of one of its fields."""
+    return [
+        (ProjPoint(3.0, -2.0), "a"),
+        (MobiusMap(1.0, 2.0, 3.0, 5.0), "d"),
+        (CYCLE, "perm"),
+        (CirclePoint(0.25), "t"),
+        (Configuration((ZERO, ProjPoint(1e-300, 1.0), ONE, INFINITY)), "points"),
+        (ChartPoint((0.3, 0.7)), "u"),
+        (SU11Matrix(1.5 + 0.5j, 0.5 - 1.0j), "v"),
+        (ideal_geodesic(0.1, 0.35), "center"),
+        (tree3_figure(ZERO, ProjPoint.from_affine(0.3), ONE, INFINITY), "gamma"),
+    ]
+
+
+@pytest.mark.parametrize("obj, field", value_objects(), ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_value_types_copy_and_pickle_and_refuse_changes(obj, field):
+    clones = [copy.copy(obj), copy.deepcopy(obj)]
+    clones += [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is type(obj) and clone == obj and repr(clone) == repr(obj)
+        if isinstance(obj, S3Element):
+            assert clone is obj  # the six elements are singletons
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, before)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) is before
+
+
+def test_value_types_compare_hash_and_print_by_fields():
+    assert repr(CirclePoint(1.25)) == "CirclePoint(t=0.25)"
+    assert repr(ChartPoint((1, 2))) == "ChartPoint(u=(1.0, 2.0))"
+    assert repr(ideal_geodesic(0.0, 0.5)) == "ArcDescriptor(kind='diameter', t1=0.0, t2=0.5, center=None, radius=None)"
+    assert CirclePoint(0.25) == CirclePoint(-0.75) and hash(CirclePoint(0.25)) == hash(CirclePoint(-0.75))
+    assert CirclePoint(0.25) != ChartPoint((0.25,)) and CirclePoint(0.25) != 0.25
+    assert len({SU11Matrix(1.0, 0.0), SU11Matrix(1.0, 0.0), SU11Matrix(1.0, 1e-300)}) == 2
+    assert MobiusMap(1.0, 2.0, 3.0, 5.0) == MobiusMap(1.0, 2.0, 3.0, 5.0) != MobiusMap(2.0, 4.0, 6.0, 10.0)
+    # a point compares by the chordal tolerance, so it has no hash, nor has a value that holds one
+    for obj in (ZERO, Configuration((ZERO, ONE, ProjPoint(2.0, 1.0), INFINITY)), tree3_figure(ZERO, ONE, ONE, INFINITY)):
+        with pytest.raises(TypeError):
+            hash(obj)
