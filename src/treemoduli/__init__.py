@@ -19,19 +19,13 @@ from .cover import (
     logit,
     winding_number,
 )
-from .moduli import (
+from .configuration import (
     ChartPoint,
     Configuration,
     albanese,
-    albanese_jacobian,
     chart_coords,
     chart_embed,
-    curve_length,
     forgetful,
-    jacobian_rank,
-    metric_eval,
-    metric_matrix,
-    rank_scan,
     relabel,
     triple_coord,
     triples,
@@ -59,3 +53,23 @@ from .tangent import (
 )
 
 __version__ = "0.1.0"
+
+# The chart layer's names: treemoduli.moduli, and with it numpy, loads on first use.
+_CHART = ("albanese_jacobian", "curve_length", "jacobian_rank", "metric_eval", "metric_matrix", "rank_scan")
+
+
+def __getattr__(name):
+    if name in _CHART or name == "moduli":
+        import importlib  # from . import moduli would call this __getattr__ again
+
+        moduli = importlib.import_module(".moduli", __name__)
+        return moduli if name == "moduli" else getattr(moduli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# from treemoduli import * takes the chart layer's names too, and so loads it.
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_CHART, "moduli"]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

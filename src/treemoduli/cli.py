@@ -15,7 +15,7 @@ import math
 import re
 import sys
 
-from . import cover, moduli, plots, tangent
+from . import configuration, cover, plots, tangent
 from .projline import INFINITY, ProjPoint, cross_ratio
 
 __all__ = ["main", "entry", "parse_point", "ParseError"]
@@ -173,11 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_configuration(args) -> moduli.Configuration:
-    if args.input is None:
-        return moduli.Configuration.from_json(json.loads(args.points_json))
-    with open(args.input, encoding="utf-8") as fh:
-        return moduli.Configuration.from_json(json.load(fh))
+def _load_configuration(args) -> configuration.Configuration:
+    try:
+        if args.input is None:
+            doc = json.loads(args.points_json)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ParseError("configuration JSON is nested too deeply") from None
+    return configuration.Configuration.from_json(doc)
 
 
 def _parse_chart(text: str) -> tuple[float, ...]:
@@ -265,21 +270,28 @@ def _dispatch(args, out) -> None:
 
     elif args.cmd == "albanese":
         cfg = _load_configuration(args)
-        values = _round12([t.t for t in moduli.albanese(cfg)])
-        doc = {**_round12(cfg.to_json()), "triples": moduli.triples(cfg.n), "values": values}  # triples hold ints only
+        values = _round12([t.t for t in configuration.albanese(cfg)])
+        # triples hold ints only, so they are not rounded
+        doc = {**_round12(cfg.to_json()), "triples": configuration.triples(cfg.n), "values": values}
         out.write(json.dumps(doc) + "\n")
 
     elif args.cmd == "metric":
+        from . import moduli
+
         chart = moduli.ChartPoint(_parse_chart(args.chart))
         g = moduli.metric_matrix(chart, args.h)
         doc = {"n": chart.n, "h": args.h, "chart": list(chart.u), "matrix": g.tolist()}
         out.write(_emit_json(doc) + "\n")
 
     elif args.cmd == "rank-scan":
+        from . import moduli
+
         report = moduli.rank_scan(args.n, args.trials, args.seed, h=args.h, tol=args.tol)
         out.write(_emit_json(report) + "\n")
 
     elif args.cmd == "curve-length":
+        from . import moduli
+
         rows = _read_chart_rows(args)
         length = moduli.curve_length(rows, args.h)
         out.write(_emit_json({"h": args.h, "samples": len(rows), "length": length}) + "\n")
@@ -290,8 +302,7 @@ def _dispatch(args, out) -> None:
             if args.format == "svg":
                 out.write(plots.disk_svg(fig))
             else:
-                glabel = "inf" if fig.gamma.is_infinite else _g12(fig.gamma.affine)
-                out.write(f"# internal_edge_length={glabel}\n")
+                out.write(f"# internal_edge_length={fmt_point(fig.gamma)}\n")
                 out.write(plots.arcs_csv(fig.arcs))
         else:
             sample, csv, svg = (

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 
 from .cover import CirclePoint, _branch, circle_distance, devadoss_length
 from .projline import ProjPoint, _integer, _Value
-from .tangent import cayley, stereo_param
+from .tangent import cayley, circle_exp, stereo_param
 
 __all__ = [
     "ArcDescriptor",
@@ -41,6 +41,12 @@ class CoincidentIdealPoints(ArithmeticError):
     """No geodesic between coincident ideal points."""
 
 
+def _unit(t: float) -> tuple[float, float]:
+    """The point (cos 2 pi t, sin 2 pi t) of the unit circle, as circle_exp gives it."""
+    z = circle_exp(t)
+    return (z.real, z.imag)
+
+
 class ArcDescriptor(_Value):
     """Disk geodesic between two ideal points, given by angles in R/Z.
 
@@ -56,8 +62,7 @@ class ArcDescriptor(_Value):
         super().__init__(kind, t1, t2, center, radius)
 
     def endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        e = lambda t: (math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        return e(self.t1), e(self.t2)
+        return _unit(self.t1), _unit(self.t2)
 
     def apex(self) -> tuple[float, float]:
         """Point of the geodesic nearest the origin (its visual midpoint)."""
@@ -81,8 +86,7 @@ def ideal_geodesic(t1: float, t2: float) -> ArcDescriptor:
         raise CoincidentIdealPoints(f"angles {t1} and {t2} coincide")
     if abs(d - 0.5) <= 1e-9:
         return ArcDescriptor("diameter", t1, t2)
-    z1 = (math.cos(2 * math.pi * t1), math.sin(2 * math.pi * t1))
-    z2 = (math.cos(2 * math.pi * t2), math.sin(2 * math.pi * t2))
+    z1, z2 = _unit(t1), _unit(t2)
     # Orthogonality forces <c, z1> = <c, z2> = 1.
     det = z1[0] * z2[1] - z1[1] * z2[0]
     cx = (z2[1] - z1[1]) / det
@@ -242,7 +246,7 @@ def disk_svg(fig: Tree3Figure) -> str:
             'stroke="black" stroke-dasharray="8 6" fill="none"/>\n'
         )
     for i, t in enumerate(fig.angles):
-        x, y = _to_px((math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)))
+        x, y = _to_px(_unit(t))
         parts.append(
             f'<circle cx="{x:.9g}" cy="{y:.9g}" r="6" '
             f'fill="{"black" if i == 0 else "white"}" stroke="black"/>\n'

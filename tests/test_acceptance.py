@@ -31,7 +31,8 @@ from treemoduli.moduli import (
     rank_scan,
     relabel,
 )
-from treemoduli.moduli import _chart_ratios, _exact_jacobian, _exact_rank, _seam_margin, _triple_arrays
+from treemoduli.configuration import _exact_jacobian, _exact_rank
+from treemoduli.moduli import _chart_ratios, _seam_margin, _triple_arrays
 from treemoduli.projline import (
     CYCLE,
     INFINITY,

@@ -356,6 +356,8 @@ ALBANESE_SOURCES = {
     "empty": "Expecting value",
     "non-utf8": "can't decode byte 0xff",
     "directory": "Is a directory",
+    "nested-points": "configuration JSON is nested too deeply",
+    "nested-input": "configuration JSON is nested too deeply",
 }
 
 
@@ -369,10 +371,12 @@ def test_exit_codes_of_albanese_sources(case, tmp_path, capsys):
         good.write_text(doc)
         read = run("albanese", "--points", doc)
         assert read[0] == 0 and read == run("albanese", "--input", str(good))
-        bad.write_bytes(doc.encode("utf-16") if case == "non-utf8" else b"")
+        content = {"non-utf8": doc.encode("utf-16"), "nested-input": b"[" * 100000 + b"]" * 100000}
+        bad.write_bytes(content.get(case, b""))
         argv = {
             "both": rng.choice([("--points", doc, "--input", str(good)), ("--input", str(good), "--points", doc)]),
             "neither": (),
+            "nested-points": ("--points", "[" * 3000 + "]" * 3000),
             "missing": ("--input", str(tmp_path / "missing.json")),
             "directory": ("--input", str(tmp_path)),
         }.get(case, ("--input", str(bad)))
@@ -707,16 +711,19 @@ NUMPY_FREE = [
     ("plot", "kappa-graph", "--k", "64"),
 ]
 
-# Imports the CLI, then makes numpy unimportable and runs each argv through main().
+# Imports the CLI and runs each argv through main(); neither numpy nor the chart
+# layer may be loaded after the import or after any command.
 NUMPY_FREE_CHILD = """
 import io, json, sys
 import treemoduli.cli
-assert "numpy" not in sys.modules, "import treemoduli.cli loaded numpy"
-sys.modules["numpy"] = None
+def chart_layer():
+    return sorted({"numpy", "treemoduli.moduli"} & set(sys.modules))
+assert not chart_layer(), f"import treemoduli.cli loaded {chart_layer()}"
 results = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     results.append([treemoduli.cli.main(argv, out=buf), buf.getvalue()])
+    assert not chart_layer(), f"{argv[0]} loaded {chart_layer()}"
 print(json.dumps(results))
 """
 
@@ -733,9 +740,46 @@ def test_rank_scan_never_imports_numpy_random():
         "-c",
         "import io, sys; from treemoduli.cli import main; "
         "code = main(['rank-scan', '--n', '4', '--trials', '10'], out=io.StringIO()); "
-        "assert code == 0 and 'numpy' in sys.modules; "
+        "assert code == 0 and {'numpy', 'treemoduli.moduli'} <= set(sys.modules); "
         "assert 'numpy.random' not in sys.modules, 'rank-scan imported numpy.random'",
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_defers_the_chart_layer():
+    # the package's chart names resolve on first use, to the chart layer's own objects
+    proc = run_child(
+        "-c",
+        "import sys, treemoduli; "
+        "assert not {'numpy', 'treemoduli.moduli'} & set(sys.modules), 'import treemoduli loaded numpy'; "
+        "assert {'rank_scan', 'moduli'} <= set(dir(treemoduli)); "
+        "assert treemoduli.rank_scan is treemoduli.moduli.rank_scan; "
+        "assert 'numpy' in sys.modules",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# Loads perfbench/tracer.py as the benchmark's worker does, from its own directory,
+# and traces albanese and rank-scan after one untraced albanese run.
+TRACER_CHILD = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+import treemoduli.cli as cli
+albanese = ["albanese", "--points", '{"n": 5, "points": [0, 0.2, 0.4, 0.6, 1, "inf"]}']
+assert cli.main(albanese, out=io.StringIO()) == 0
+with tracer.Tracer() as trace:
+    assert cli.main(albanese, out=io.StringIO()) == 0
+    assert cli.main(["rank-scan", "--n", "4", "--trials", "16"], out=io.StringIO()) == 0
+calls = {name: trace.stats[name][tracer.CALLS] for name in ("moduli.albanese", "moduli.svd")}
+assert all(calls.values()), calls
+"""
+
+
+def test_benchmark_tracer_sees_the_layers():
+    # -B: the child writes no bytecode cache into perfbench/
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = run_child("-B", "-c", TRACER_CHILD, str(perfbench))
     assert proc.returncode == 0, proc.stderr
 
 

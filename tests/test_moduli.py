@@ -38,8 +38,6 @@ from treemoduli.moduli import (
     _central_jacobians,
     _chart_ratios,
     _cover_values,
-    _exact_jacobian,
-    _exact_rank,
     _incidence,
     _pullback,
     _rank_and_ratio,
@@ -50,6 +48,7 @@ from treemoduli.moduli import (
     _wrap,
 )
 from treemoduli._streams import pcg64_doubles, pcg64_streams
+from treemoduli.configuration import _exact_jacobian, _exact_rank
 from treemoduli.projline import (
     INFINITY,
     ONE,
@@ -182,10 +181,13 @@ def test_forgetful_examples():
     assert forgetful(c, (np.int64(1), 2.0, 3)) == forgetful(c, (1, 2, 3))
 
 
-@pytest.mark.parametrize("t", [(), (1, 2), (1, 2, 3, 4)], ids=repr)
+@pytest.mark.parametrize("t", [(), (1, 2), (1, 2, 3, 4), 5, None], ids=repr)
 def test_check_triple_of_the_wrong_length_is_a_bad_index(t):
-    with pytest.raises(BadIndex, match=f"^{re.escape(repr(t))} is not an increasing triple in 1..4$"):
-        check_triple(t, 4)
+    # a value that is not a sequence at all is a bad index too, not a TypeError
+    c = Configuration((ZERO, pt(0.3), pt(0.6), ONE, INFINITY))
+    for call in (lambda: check_triple(t, 4), lambda: forgetful(c, t)):
+        with pytest.raises(BadIndex, match=f"^{re.escape(repr(t))} is not an increasing triple in 1..4$"):
+            call()
 
 
 def test_triple_coord_examples():
@@ -577,6 +579,17 @@ def test_step_below_chart_resolution_is_refused(h):
     assert any(any(row) for row in _exact_jacobian(ChartPoint((0.3, 0.5))))
 
 
+def test_chart_layer_re_exports_the_exact_layer():
+    import treemoduli
+    from treemoduli import configuration, moduli
+
+    for name in configuration.__all__:
+        assert getattr(moduli, name) is getattr(configuration, name)
+    for name in ("Configuration", "ChartPoint", "albanese", "chart_coords", "relabel", "triples"):
+        assert getattr(treemoduli, name) is getattr(configuration, name)
+    assert treemoduli.metric_matrix is metric_matrix and treemoduli.moduli is moduli
+
+
 def test_triple_table_is_cached_and_read_only():
     trip, bk = _triple_arrays(6)
     assert _triple_arrays(6)[0] is trip
@@ -584,14 +597,6 @@ def test_triple_table_is_cached_and_read_only():
         trip[0, 0] = 2
     with pytest.raises(ValueError):
         bk[0] = 2.0
-
-
-def test_numpy_stand_in_is_replaced_on_first_use():
-    # the stencil and SVD loops then look up numpy itself, through no proxy
-    import treemoduli.moduli
-
-    metric_matrix(ChartPoint((0.3, 0.5)))
-    assert treemoduli.moduli.np is np
 
 
 def test_jacobian_rank():
