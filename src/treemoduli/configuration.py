@@ -24,7 +24,6 @@ from .projline import (
     MobiusMap,
     ProjPoint,
     _canon,
-    _cross,
     _cross_checked,
     _det,
     _integer,
@@ -184,6 +183,11 @@ def triple_coord(c: Configuration, s: tuple[int, int, int]) -> CirclePoint:
     return circle_cover(cross_ratio(*forgetful(c, s)))
 
 
+def _pair_dets(pairs) -> list[list]:
+    """The determinant d[p][q] = _det(*pairs[p], *pairs[q]) of each two pairs, as a table of rows."""
+    return [[_det(*p, *q) for q in pairs] for p in pairs]
+
+
 def albanese(c: Configuration) -> list[CirclePoint]:
     """All triple coordinates, in lexicographic triple order.
 
@@ -193,7 +197,7 @@ def albanese(c: Configuration) -> list[CirclePoint]:
     d[0][j] d[i][k]): the products _cross makes, in the same order.
     """
     pairs = [(p.a, p.b) for p in c.points]
-    d = [[_det(*p, *q) for q in pairs] for p in pairs]
+    d = _pair_dets(pairs)
     d0 = d[0]
     values = []
     for i, j, k in triples(c.n):
@@ -209,12 +213,13 @@ def _exact_jacobian(u: ChartPoint) -> list[list[Fraction]]:
     """The Jacobian at exactly the chart u, as rows of Fractions in triple order.
 
     A float chart is a dyadic rational point, and the cross-ratios and the
-    cover are rational on each branch, so every entry is rational.  For
-    D(p, q) = a_p b_q - a_q b_p, d log|D| / d a_p = b_q / D and
-    d log|D| / d a_q = -b_p / D; rho = D(0,i) D(j,k) / (D(0,j) D(i,k)), and
-    an entry is k'(rho) rho d log rho / d u_m with the cover derivative
-    k' = (den / branch den)^2.  Raises InvalidChart unless 0, the chart
-    values and 1 are pairwise distinct.
+    cover are rational on each branch, so every entry is rational.  With
+    the determinant table d of albanese, D(p, q) = a_p b_q - a_q b_p, and
+    the table g[p][q] = b_q / D(p, q) = d log|D(p, q)| / d a_p, triple
+    (i, j, k) has rho = D(0,i) D(j,k) / (D(0,j) D(i,k)) = num / den, and an
+    entry is k'(rho) rho d log rho / d u_m = num den / (branch den)^2 times
+    d log rho / d u_m.  Raises InvalidChart unless 0, the chart values and
+    1 are pairwise distinct.
     """
     from fractions import Fraction
 
@@ -222,20 +227,18 @@ def _exact_jacobian(u: ChartPoint) -> list[list[Fraction]]:
     if len(set(vals)) < len(vals):
         raise InvalidChart("chart coordinates coincide with each other or with 0 or 1")
     pairs = [(a, 1) for a in vals] + [(Fraction(1), 0)]
+    d = _pair_dets(pairs)
+    g = [[b / x if x else x for (_, b), x in zip(pairs, row)] for row in d]  # D(p, p) = 0 only
     rows = []
-    for t in triples(u.n):
-        (a0, b0), (ai, bi), (aj, bj), (ak, bk) = pairs[0], *(pairs[p] for p in t)
-        num, den = _cross(a0, b0, ai, bi, aj, bj, ak, bk)
+    for i, j, k in triples(u.n):
+        num, den = d[0][i] * d[j][k], d[0][j] * d[i][k]
         if den < 0:
             num, den = -num, -den
-        scale = (den / _branch(num, den)[2]) ** 2 * num / den
-        d0i, djk = _det(a0, b0, ai, bi), _det(aj, bj, ak, bk)
-        d0j, dik = _det(a0, b0, aj, bj), _det(ai, bi, ak, bk)
-        grad = (-b0 / d0i - bk / dik, bk / djk + b0 / d0j, bi / dik - bj / djk)
+        scale = num * den / _branch(num, den)[2] ** 2
         row = [Fraction(0)] * (u.n - 2)
-        for p, g in zip(t, grad):
+        for p, dlog in ((i, g[i][0] - g[i][k]), (j, g[j][k] - g[j][0]), (k, g[k][j] - g[k][i])):
             if p <= u.n - 2:
-                row[p - 1] = scale * g
+                row[p - 1] = scale * dlog
         rows.append(row)
     return rows
 

@@ -42,41 +42,40 @@ class NonFiniteEntry(ValueError):
     """Matrix contains NaN or infinite entries."""
 
 
-@functools.lru_cache(maxsize=32)
-def _triple_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triple index table and the b column of its last point (0 at the infinity anchor).
-
-    Cached and read-only: every Jacobian at the same n shares one table.
-    """
-    t = np.asarray(triples(n), dtype=int)
-    bk = (t[:, 2] != n).astype(float)
-    t.flags.writeable = bk.flags.writeable = False
-    return t, bk
+# Largest n the chart layer takes, 62 chart coordinates: there the table
+# holds 12 MiB and the stencil of one chart peaks at 45 MiB.  Both grow as n^4.
+_MAX_N = 64
 
 
 @functools.lru_cache(maxsize=32)
-def _incidence(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triples that contain each chart point, and the stencil's gather table.
+def _table(n: int) -> tuple[np.ndarray, ...]:
+    """The chart layer's arrays at n, in this order: trip, idx, gather, bk and bk[idx][..., None].
 
-    Row r of the (n - 2, K) index table lists, in triple order, the
-    K = C(n - 1, 2) triples that contain point r + 1, the point of chart
-    coordinate r; no other triple ratio depends on that coordinate.  Entry
-    (slot, sign, r, k) of the (3, 2, n - 2, K) gather table is the row, in a
-    block's value table [0, u_1 .. u_{n-2}, 1, 1, u_1 + h .. u_{n-2} + h,
-    u_1 - h .. u_{n-2} - h], of that slot's point of triple idx[r, k], with
-    point r + 1 moved by +h or -h.  Cached and read-only.
+    trip (T, 3) lists the triples and bk the b column of their last point
+    (0 at the infinity anchor).  Row r of the (n - 2, K) index table idx
+    lists, in triple order, the K = C(n - 1, 2) triples that contain point
+    r + 1, the point of chart coordinate r; no other triple ratio depends on
+    that coordinate.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K) gather
+    table is the row, in a block's value table [0, u_1 .. u_{n-2}, 1, 1,
+    u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of that slot's point of
+    triple idx[r, k], with point r + 1 moved by +h or -h.  Cached and
+    read-only; ValueError above n = _MAX_N, before anything is allocated.
     """
-    t = _triple_arrays(n)[0]
+    if n > _MAX_N:
+        raise ValueError(f"a chart of {n - 2} coordinates is above the limit of {_MAX_N - 2} (n <= {_MAX_N})")
+    trip = np.asarray(triples(n), dtype=int)
+    bk = (trip[:, 2] != n).astype(float)
     pts = np.arange(1, n - 1)
-    idx = np.array([np.flatnonzero((t == p).any(axis=1)) for p in pts])
-    slots = t[idx].transpose(2, 0, 1)[:, None]
+    idx = np.array([np.flatnonzero((trip == p).any(axis=1)) for p in pts])
+    slots = trip[idx].transpose(2, 0, 1)[:, None]
     moved = n + pts[:, None] + np.arange(2)[:, None, None] * (n - 2)
-    gather = np.where(slots == pts[:, None], moved, slots)
-    idx.flags.writeable = gather.flags.writeable = False
-    return idx, gather
+    table = trip, idx, np.where(slots == pts[:, None], moved, slots), bk, bk[idx][..., None]
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
-def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
+def _chart_ratios(u: np.ndarray) -> np.ndarray:
     """Cross-ratios of all triples at a chart, as affine values, on the last axis.
 
     The same determinant formula as the exact path's cross_ratio, on the
@@ -84,6 +83,7 @@ def _chart_ratios(u: np.ndarray, trip: np.ndarray, bk: np.ndarray) -> np.ndarray
     x_n = [1 : 0]; only the last point of a triple can be x_n.  Leading
     axes of u are batch axes.
     """
+    trip, _, _, bk, _ = _table(u.shape[-1] + 2)
     lead = u.shape[:-1]
     a = np.concatenate([np.zeros(lead + (1,)), u, np.ones(lead + (2,))], axis=-1)
     num, den = _cross(0.0, 1.0, a[..., trip[..., 0]], 1.0, a[..., trip[..., 1]], 1.0, a[..., trip[..., 2]], bk)
@@ -117,15 +117,16 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x)) - 0.5
 
 
-def _refusals(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first stencil rule each row of a chart block U (m, dim) breaks, and its seam margin.
+def _refusals(U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first stencil rule each chart of a block U (..., dim) breaks, and its seam margin.
 
-    Every stencil's one rule, in order: 1 for a non-finite coordinate; 2 unless
-    the seam margin (NaN at colliding coordinates) is above 10 h, so no stencil
-    straddles a seam; 3 where u + h or u - h rounds to u.  0 where none is broken.
+    Both have the leading axes of U.  Every stencil's one rule, in order: 1 for
+    a non-finite coordinate; 2 unless the seam margin (NaN at colliding
+    coordinates) is above 10 h, so no stencil straddles a seam; 3 where u + h
+    or u - h rounds to u.  0 where none is broken.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # colliding or huge coordinates
-        margin = _seam_margin(_chart_ratios(U, trip, bk))
+        margin = _seam_margin(_chart_ratios(U))
         stuck = ((U + h == U) | (U - h == U)).any(axis=-1)
     finite = np.isfinite(U).all(axis=-1)
     return np.where(finite, np.where(margin > 10.0 * h, np.where(stuck, 3, 0), 2), 1), margin
@@ -141,12 +142,12 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
     return InvalidChart(f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(u[r])!r}")
 
 
-def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray) -> np.ndarray:
+def _central_jacobians(U: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
 
     Column r moves coordinate r by +h and -h and evaluates only the
     C(n - 1, 2) triples that contain its point: one gather, through the
-    table of _incidence, from the block's values, then one cross-ratio and
+    gather table of _table, from the block's values, then one cross-ratio and
     cover evaluation for both signs of all columns of all charts.  Each entry is the same float
     operations as perturbing one chart and one coordinate at a time, and
     every other entry is an exact zero, as there.  Each difference is
@@ -154,10 +155,10 @@ def _central_jacobians(U: np.ndarray, h: float, trip: np.ndarray, bk: np.ndarray
     _refusals passes.
     """
     m, dim = U.shape
-    idx, gather = _incidence(dim + 2)
+    trip, idx, gather, _, bk_idx = _table(dim + 2)
     V = U.T
     ai, aj, ak = np.concatenate([np.zeros((1, m)), V, np.ones((2, m)), V + h, V - h])[gather]
-    num, den = _cross(0.0, 1.0, ai, 1.0, aj, 1.0, ak, bk[idx][..., None])
+    num, den = _cross(0.0, 1.0, ai, 1.0, aj, 1.0, ak, bk_idx)
     t = _cover_values(num / den)
     jac = np.zeros((m, len(trip), dim))
     jac[:, idx, np.arange(dim)[:, None]] = np.moveaxis(_wrap(t[0] - t[1]) / (2.0 * h), -1, 0)
@@ -198,12 +199,11 @@ def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
     colliding coordinates, InvalidChart if u +- h rounds to u.
     """
     h = _check_step(h)
-    trip, bk = _triple_arrays(u.n)
     base = u.as_array()[None]
-    rule, margin = _refusals(base, h, trip, bk)
+    rule, margin = _refusals(base, h)
     if rule[0]:
         raise _refusal(base[0], rule[0], margin[0], h)
-    return _central_jacobians(base, h, trip, bk)[0]
+    return _central_jacobians(base, h)[0]
 
 
 def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +288,9 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
         raise ValueError("chart needs at least one coordinate (n >= 3)")
     P = np.array(pts)
     dim = P.shape[1]
-    trip, bk = _triple_arrays(dim + 2)
-    block = max(1, _PATH_BUDGET // (4 * len(trip)))  # pieces per screen
-    step = max(1, _PATH_BUDGET // (len(trip) * dim))  # charts per stencil
+    T = math.comb(dim + 2, 3)
+    block = max(1, _PATH_BUDGET // (4 * T))  # pieces per screen
+    step = max(1, _PATH_BUDGET // (T * dim))  # charts per stencil
     f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # fallback points, tried in this order
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
@@ -307,11 +307,11 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
         L, R, M = np.zeros(len(A)), np.zeros(len(A), int), np.zeros(len(A))
         for s in range(0, len(A), block):
             live = s + np.flatnonzero(du[s:s + block].any(axis=1))  # a piece of length 0 has rule 0
-            R[live], M[live] = _refusals(C[live], h, trip, bk)
+            R[live], M[live] = _refusals(C[live], h)
             cut = live[R[live] == 2]
             if len(cut) and depth == 0:
                 F = A[cut, None] + f[:, None] * du[cut, None]  # (pieces, points, dim)
-                rule, margin = (x.reshape(len(cut), -1) for x in _refusals(F.reshape(-1, dim), h, trip, bk))
+                rule, margin = _refusals(F, h)
                 k = (rule == 2).argmin(axis=1)  # the first point not refused for a seam, or 0
                 j = np.flatnonzero(rule[np.arange(len(cut)), k] != 2)  # elsewhere the midpoint's failure stands
                 i, k = cut[j], k[j]
@@ -319,7 +319,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
             ok = live[R[live] == 0]
             for q in (ok[o:o + step] for o in range(0, len(ok), step)):
                 d = du[q, None]
-                G = _pullback(_central_jacobians(C[q], h, trip, bk))
+                G = _pullback(_central_jacobians(C[q], h))
                 L[q] = np.sqrt(np.maximum(d @ G @ d.swapaxes(-1, -2), 0.0))[:, 0, 0]
             if len(cut) and depth > 0:
                 ends = np.stack([A[cut], C[cut], B[cut]], axis=1)  # halves in path order
@@ -381,7 +381,6 @@ def rank_scan(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     from ._streams import pcg64_doubles, pcg64_streams
 
-    trip, bk = _triple_arrays(n)
     dim = n - 2
 
     def draw(state: np.ndarray, inc: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,16 +388,12 @@ def rank_scan(
         state, r = pcg64_doubles(state, inc, count * dim)
         return state, np.tan(np.pi * (r + 0.25)).reshape(len(inc), count, dim).swapaxes(0, 1)
 
-    def screen(V: np.ndarray) -> np.ndarray:
-        """The _refusals rule of each chart of V (tries, streams, dim), as (tries, streams)."""
-        return _refusals(V.reshape(-1, dim), h, trip, bk)[0].reshape(V.shape[:2])
-
     full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
     for c0 in range(0, trials, _SCAN_CHUNK):
         chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
         state, inc = pcg64_streams(seed, chunk)
         state, drawn = draw(state, inc, 1)
-        rules = screen(drawn)
+        rules = _refusals(drawn, h)[0]
         for b0 in range(0, len(chunk), _SCAN_BLOCK):
             U = drawn[0, b0:b0 + _SCAN_BLOCK]
             rows, V, rule, tries = np.arange(len(U)), U[None], rules[:, b0:b0 + _SCAN_BLOCK], 1
@@ -415,11 +410,11 @@ def rank_scan(
                     break
                 ahead = min(tries, reject_cap - tries)
                 state[b0 + rows], V = draw(state[b0 + rows], inc[b0 + rows], ahead)
-                rule, tries = screen(V), tries + ahead
+                rule, tries = _refusals(V, h)[0], tries + ahead
             if len(rows):
                 trial = chunk[b0 + rows[0]]
                 raise SeamTooClose(f"trial {trial}: no draw with seam margin above 10 h in {reject_cap} tries")
-            rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
+            rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
             short = np.flatnonzero(rank < dim)
             full += len(U) - len(short)
             if counterexample is None and len(short):

@@ -807,6 +807,22 @@ def test_plot_refuses_k_above_2_20_before_sampling(plot, k):
     assert proc.stderr == f"treemoduli: k = {k} is above the limit of 2**20 = 1048576 samples\n"
 
 
+@pytest.mark.parametrize("cmd", ["metric", "curve-length"])
+def test_chart_above_the_size_limit_exits_2(cmd, tmp_path):
+    # in a child with a timeout: 63 coordinates (n = 65) are refused before
+    # any table or stencil is allocated
+    rows = [",".join(repr(x + 0.37 * k) for k in range(63)) for x in (2.0, 3.0)]
+    if cmd == "metric":
+        argv = ("--chart", rows[0])
+    else:
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(rows) + "\n")
+        argv = ("--input", str(path))
+    proc = run_child("-m", "treemoduli", cmd, *argv, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "treemoduli: a chart of 63 coordinates is above the limit of 62 (n <= 64)\n"
+
+
 def test_help_exits_zero():
     code, _ = run("--help")
     assert code == 0

@@ -38,13 +38,12 @@ from treemoduli.moduli import (
     _central_jacobians,
     _chart_ratios,
     _cover_values,
-    _incidence,
     _pullback,
     _rank_and_ratio,
     _refusal,
     _refusals,
     _seam_margin,
-    _triple_arrays,
+    _table,
     _wrap,
 )
 from treemoduli._streams import pcg64_doubles, pcg64_streams
@@ -69,10 +68,9 @@ def pt(x):
 
 def random_chart(rng, n, margin=1e-4):
     """Open-stratum chart drawn from the circle's round measure."""
-    trip, bk = _triple_arrays(n)
     while True:
         u = np.tan(np.pi * (rng.random(n - 2) + 0.25))
-        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, bk)) > margin:
+        if np.isfinite(u).all() and _seam_margin(_chart_ratios(u)) > margin:
             return ChartPoint(tuple(u))
 
 
@@ -204,8 +202,7 @@ def test_fast_chart_path_matches_point_path():
     for _ in range(100):
         n = int(rng.integers(3, 7))
         u = random_chart(rng, n)
-        trip, bk = _triple_arrays(n)
-        rho = _chart_ratios(u.as_array(), trip, bk)
+        rho = _chart_ratios(u.as_array())
         c = chart_embed(u)
         for s, r in zip(triples(n), rho):
             slow = triple_coord(c, s)
@@ -240,8 +237,7 @@ def test_fast_chart_path_matches_point_path_at_extreme_charts(u):
     # the chart path evaluates the exact path's determinants, so the
     # ratios agree bit for bit; the cover values differ only in rounding
     c = chart_embed(u)
-    trip, bk = _triple_arrays(u.n)
-    rho = _chart_ratios(u.as_array(), trip, bk)
+    rho = _chart_ratios(u.as_array())
     for s, r, t in zip(triples(u.n), rho, _cover_values(rho)):
         assert cross_ratio(*forgetful(c, s)).affine == r
         assert circle_distance(triple_coord(c, s), t) < 1e-15
@@ -400,6 +396,64 @@ def test_exact_jacobian_at_n3_is_the_cover_derivative():
     assert _exact_jacobian(ChartPoint((0.375,))) == [[Fraction(1)]]
 
 
+class Dual:
+    """A forward-mode dual number over Fraction: a value and its gradient in the chart coordinates."""
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __sub__(self, o):
+        return Dual(self.v - o.v, [a - b for a, b in zip(self.d, o.d)])
+
+    def __mul__(self, o):
+        return Dual(self.v * o.v, [a * o.v + self.v * b for a, b in zip(self.d, o.d)])
+
+    def __truediv__(self, o):
+        return Dual(self.v / o.v, [(a * o.v - self.v * b) / o.v**2 for a, b in zip(self.d, o.d)])
+
+
+def dual_jacobian(u):
+    """Reference exact Jacobian rows, and the cover branches the triples take.
+
+    Duals through the affine cross-ratio (x_0, x_i; x_j, x_k) and the branches
+    1/(1-x), x and 1 - 1/x; x_n is infinity, where the ratio is (x_0 - x_i) / (x_0 - x_j).
+    """
+    dim = len(u)
+    zero, one = (Dual(Fraction(c), [Fraction(0)] * dim) for c in (0, 1))
+    x = [zero, *(Dual(Fraction(v), [Fraction(int(m == r)) for m in range(dim)]) for r, v in enumerate(u)), one]
+    rows, branches = [], set()
+    for i, j, k in triples(dim + 2):
+        if k == dim + 2:
+            rho = (x[0] - x[i]) / (x[0] - x[j])
+        else:
+            rho = (x[0] - x[i]) * (x[j] - x[k]) / ((x[0] - x[j]) * (x[i] - x[k]))
+        branch = 0 if rho.v < 0 else 1 if rho.v < 1 else 2
+        t = (one / (one - rho), rho, one - one / rho)[branch]
+        rows.append(t.d)
+        branches.add(branch)
+    return rows, branches
+
+
+def test_exact_jacobian_matches_forward_mode_duals():
+    # every entry equal as a Fraction, on dyadic charts with coordinates
+    # below 0, in (0, 1) and above 1, so the ratios take all three branches
+    rng = np.random.default_rng(29)
+    seen = set()
+    for n in range(3, 9):
+        for draw in range(6):
+            while True:
+                if draw % 2:
+                    u = [float(v) for v in rng.uniform(-3.0, 4.0, n - 2)]
+                else:
+                    u = [float(v) for v in rng.integers(-96, 128, n - 2) / 32]
+                if len({0.0, 1.0, *u}) == n:
+                    break
+            want, branches = dual_jacobian(u)
+            assert _exact_jacobian(ChartPoint(tuple(u))) == want, u
+            seen |= branches
+    assert seen == {0, 1, 2}
+
+
 def exact_metric(u):
     """The averaged metric J^T J / T at exactly the chart u, as rows of Fractions."""
     jac = _exact_jacobian(ChartPoint(u))
@@ -447,15 +501,14 @@ def modulo_wrap(d):
 
 def loop_jacobian(u, h=1e-6):
     """Reference central differences: one chart, one coordinate at a time."""
-    trip, bk = _triple_arrays(u.n)
     base = u.as_array()
-    jac = np.empty((len(trip), len(base)))
+    jac = np.empty((math.comb(u.n, 3), len(base)))
     for m in range(len(base)):
         up, dn = base.copy(), base.copy()
         up[m] += h
         dn[m] -= h
-        tp = masked_cover_values(_chart_ratios(up, trip, bk))
-        tm = masked_cover_values(_chart_ratios(dn, trip, bk))
+        tp = masked_cover_values(_chart_ratios(up))
+        tm = masked_cover_values(_chart_ratios(dn))
         jac[:, m] = modulo_wrap(tp - tm) / (2.0 * h)
     return jac
 
@@ -490,25 +543,26 @@ def test_stacked_central_jacobians_match_per_chart_loop():
     rng = np.random.default_rng(11)
     for n in (3, 4, 8, 12, 16):
         charts = [random_chart(rng, n) for _ in range(9)]
-        trip, bk = _triple_arrays(n)
-        stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, trip, bk)
-        assert stack.shape == (9, len(trip), n - 2)
+        T = math.comb(n, 3)
+        stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6)
+        assert stack.shape == (9, T, n - 2)
         for u, jac in zip(charts, stack):
             ref = loop_jacobian(u)
             # the entries the sparse stencil skips are +0.0 in the dense loop
             assert np.array_equal(jac, ref)
             assert np.array_equal(np.signbit(jac), np.signbit(ref))
             assert np.array_equal(albanese_jacobian(u), ref)
-        assert _central_jacobians(np.empty((0, n - 2)), 1e-6, trip, bk).shape == (0, len(trip), n - 2)
+        assert _central_jacobians(np.empty((0, n - 2)), 1e-6).shape == (0, T, n - 2)
 
 
 def test_gather_table_moves_each_point_in_its_own_slot():
     for n in (3, 5, 9):
-        trip, _ = _triple_arrays(n)
+        trip, idx, gather, bk, bk_idx = _table(n)
         dim, K = n - 2, math.comb(n - 1, 2)
-        idx, gather = _incidence(n)
-        assert _incidence(n)[0] is idx and _incidence(n)[1] is gather
-        assert idx.shape == (dim, K) and gather.shape == (3, 2, dim, K)
+        assert [tuple(t) for t in trip] == triples(n)
+        assert list(bk) == [float(t[2] != n) for t in trip]  # 0 at the infinity anchor
+        assert idx.shape == (dim, K) and gather.shape == (3, 2, dim, K) and bk_idx.shape == (dim, K, 1)
+        assert bk_idx.tobytes() == bk[idx][..., None].tobytes()
         for r in range(dim):
             assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
             for sign in range(2):
@@ -517,10 +571,6 @@ def test_gather_table_moves_each_point_in_its_own_slot():
                     rows = gather[:, sign, r, k]
                     assert list(rows == moved) == [p == r + 1 for p in t]
                     assert [int(v) for v, p in zip(rows, t) if p != r + 1] == [p for p in t if p != r + 1]
-        with pytest.raises(ValueError):
-            idx[0, 0] = 0
-        with pytest.raises(ValueError):
-            gather[0, 0, 0, 0] = 0
 
 
 # One block of charts at n = 4 and h = 1e-16, and the error each row is refused
@@ -548,12 +598,11 @@ REFUSAL_ROWS = [
 
 def test_refusals_of_a_mixed_block():
     def outcomes(U):
-        rule, margin = _refusals(U, 1e-16, trip, bk)
+        rule, margin = _refusals(U, 1e-16)
         assert rule.shape == margin.shape == (len(U),)
         errs = [_refusal(u, r, g, 1e-16) if r else None for u, r, g in zip(U, rule, margin)]
         return [None if e is None else (type(e), str(e)) for e in errs]
 
-    trip, bk = _triple_arrays(4)
     U = np.array([u for u, _ in REFUSAL_ROWS])
     got = outcomes(U)
     for i, (u, want) in enumerate(REFUSAL_ROWS):
@@ -562,8 +611,42 @@ def test_refusals_of_a_mixed_block():
         if want and all(map(math.isfinite, u)):
             with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
                 metric_matrix(ChartPoint(u), 1e-16)
-    rule, margin = _refusals(U[:0], 1e-16, trip, bk)
+    rule, margin = _refusals(U[:0], 1e-16)
     assert rule.shape == margin.shape == (0,)
+
+
+def test_refusals_take_any_leading_axes():
+    # A (tries, streams, dim) block gives the rule and margin bits of its rows
+    # screened as flat (streams, dim) blocks, and as one (tries * streams, dim)
+    # block.  Alone, a chart gets the same rule and margin, but numpy's sign
+    # bit of a NaN margin may differ with the block length.
+    rng = np.random.default_rng(17)
+    blocks = [
+        (np.array([u for u, _ in REFUSAL_ROWS]).reshape(2, 7, 2), 1e-16),
+        (np.tan(np.pi * (rng.random((3, 5, 6)) + 0.25)), 1e-3),  # n = 8 draws, some too near a seam
+    ]
+    for V, h in blocks:
+        rule, margin = _refusals(V, h)
+        assert rule.shape == margin.shape == V.shape[:-1]
+        assert len(set(rule.ravel().tolist())) > 1
+        flat = _refusals(V.reshape(-1, V.shape[-1]), h)
+        assert rule.ravel().tolist() == flat[0].tolist() and margin.tobytes() == flat[1].tobytes()
+        for t in range(len(V)):
+            row = _refusals(V[t], h)
+            assert rule[t].tolist() == row[0].tolist() and margin[t].tobytes() == row[1].tobytes()
+        for ix in np.ndindex(V.shape[:-1]):
+            alone = _refusals(V[ix][None], h)
+            assert rule[ix] == alone[0][0] and np.array_equal(margin[ix], alone[1][0], equal_nan=True), V[ix]
+    assert _refusals(np.empty((0, 4, 3)), 1e-6)[0].shape == (0, 4)
+
+
+def test_chart_above_the_size_limit_is_refused():
+    big = ChartPoint(tuple(2.0 + 0.37 * k for k in range(63)))  # n = 65
+    moved = ChartPoint(tuple(v + 1.0 for v in big.u))
+    for call in (lambda: metric_matrix(big), lambda: curve_length([big, moved])):
+        with pytest.raises(ValueError, match=r"^a chart of 63 coordinates is above the limit of 62 \(n <= 64\)$"):
+            call()
+    assert len(_table(64)[0]) == math.comb(64, 3)  # the limit itself is taken
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
@@ -591,12 +674,13 @@ def test_chart_layer_re_exports_the_exact_layer():
 
 
 def test_triple_table_is_cached_and_read_only():
-    trip, bk = _triple_arrays(6)
-    assert _triple_arrays(6)[0] is trip
-    with pytest.raises(ValueError):
-        trip[0, 0] = 2
-    with pytest.raises(ValueError):
-        bk[0] = 2.0
+    # one table per n, shared by every kernel call: trip, idx, gather, bk, bk[idx][..., None]
+    table = _table(6)
+    assert len(table) == 5
+    for a, again in zip(table, _table(6)):
+        assert a is again
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 2
 
 
 def test_jacobian_rank():
@@ -684,8 +768,7 @@ def test_relabeling_acts_by_isometries():
         perm = [int(v) for v in rng.permutation(np.arange(1, n + 1))]
         base = u.as_array()
         u2 = transition(perm, u)
-        trip, bk = _triple_arrays(n)
-        if np.abs(u2).max() > 1e3 or _seam_margin(_chart_ratios(u2, trip, bk)) < 1e-3:
+        if np.abs(u2).max() > 1e3 or _seam_margin(_chart_ratios(u2)) < 1e-3:
             continue
         dim = n - 2
         dphi = np.empty((dim, dim))
@@ -876,9 +959,9 @@ def test_curve_length_stencils_keep_clear_of_seams(monkeypatch):
     charts = []
     stencil = mod._central_jacobians
 
-    def recording(U, h, trip, bk):
+    def recording(U, h):
         charts.extend(map(tuple, U))
-        return stencil(U, h, trip, bk)
+        return stencil(U, h)
 
     monkeypatch.setattr(mod, "_central_jacobians", recording)
     rng = np.random.default_rng(43)
@@ -1014,8 +1097,8 @@ def test_curve_length_along_a_seam_stops_after_the_first_failing_block(monkeypat
     refused = []
     screen = mod._refusals
 
-    def recording(U, h, trip, bk):
-        rule, margin = screen(U, h, trip, bk)
+    def recording(U, h):
+        rule, margin = screen(U, h)
         refused.append(np.count_nonzero(rule))
         return rule, margin
 
@@ -1059,17 +1142,16 @@ def test_stacked_pullback_and_quadratic_form_equal_the_per_chart_ones(n):
     # Bit for bit against one Jacobian at a time, J^T J / T symmetrised and
     # sqrt(max(d G d, 0)), on stacks of 0, 1 and several charts.
     rng = np.random.default_rng([73, n])
-    trip, bk = _triple_arrays(n)
-    dim = n - 2
-    assert _pullback(np.zeros((0, len(trip), dim))).shape == (0, dim, dim)
+    T, dim = math.comb(n, 3), n - 2
+    assert _pullback(np.zeros((0, T, dim))).shape == (0, dim, dim)
     U = np.array([random_chart(rng, n, margin=1e-3).u for _ in range(7)])
     D = rng.uniform(-2.0, 2.0, U.shape)
-    jac = _central_jacobians(U, 1e-6, trip, bk)
+    jac = _central_jacobians(U, 1e-6)
     for m in (1, 7):
         G = _pullback(jac[:m])
         L = np.sqrt(np.maximum(D[:m, None] @ G @ D[:m, :, None], 0.0))[:, 0, 0]
         for k in range(m):
-            g = jac[k].T @ jac[k] / float(len(trip))
+            g = jac[k].T @ jac[k] / float(T)
             g = 0.5 * (g + g.T)
             assert G[k].tobytes() == g.tobytes() == metric_matrix(ChartPoint(tuple(U[k]))).tobytes()
             assert L[k] == math.sqrt(max(float(D[k] @ g @ D[k]), 0.0))
@@ -1147,13 +1229,12 @@ def test_rank_scan_deterministic():
 
 def loop_rank_scan(n, trials, seed, h=1e-6, tol=1e-6):
     """Reference scan: draw, Jacobian and SVD one trial at a time."""
-    trip, bk = _triple_arrays(n)
     full, min_rank, worst, counterexample = 0, n - 2, math.inf, None
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         while True:
             u = np.tan(np.pi * (rng.random(n - 2) + 0.25))
-            if np.isfinite(u).all() and _seam_margin(_chart_ratios(u, trip, bk)) > 10.0 * h:
+            if np.isfinite(u).all() and _seam_margin(_chart_ratios(u)) > 10.0 * h:
                 break
         jac = albanese_jacobian(ChartPoint(tuple(u)), h)
         rank = jacobian_rank(jac, tol)
@@ -1277,7 +1358,6 @@ def test_pcg64_streams_are_uint64_limbs_of_default_rng_state(seed):
 
 def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
     """rank_scan drawn from one np.random.default_rng([seed, k]) per trial k: the stream reference."""
-    trip, bk = _triple_arrays(n)
     dim = n - 2
 
     def draw(rng):
@@ -1285,7 +1365,7 @@ def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
 
     def accepted(U):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.isfinite(U).all(axis=-1) & (_seam_margin(_chart_ratios(U, trip, bk)) > 10.0 * h)
+            return np.isfinite(U).all(axis=-1) & (_seam_margin(_chart_ratios(U)) > 10.0 * h)
 
     full, min_rank, worst_ratio, counterexample = 0, dim, math.inf, None
     for k0 in range(0, trials, 16):
@@ -1301,7 +1381,7 @@ def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
                 raise SeamTooClose(
                     f"trial {ks[row]}: no draw with seam margin above 10 h in {reject_cap} tries"
                 )
-        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, trip, bk), tol)
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
         short = np.flatnonzero(rank < dim)
         full += len(ks) - len(short)
         if counterexample is None and len(short):
@@ -1443,7 +1523,7 @@ def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
     refusals, doubles = mod._refusals, streams.pcg64_doubles
 
     def counting_refusals(U, *args):
-        calls.append(("screen", len(U)))
+        calls.append(("screen", U[..., 0].size))  # charts, whatever the leading axes
         return refusals(U, *args)
 
     def counting_doubles(state, inc, count):
