@@ -42,12 +42,12 @@ class NonFiniteEntry(ValueError):
     """Matrix contains NaN or infinite entries."""
 
 
-# Largest n the chart layer takes, 62 chart coordinates: there the table
-# holds 12 MiB and the stencil of one chart peaks at 45 MiB.  Both grow as n^4.
+# Largest n the chart layer takes, 62 chart coordinates: there the table holds
+# 8.7 MiB and a first metric, table included, peaks at 36 MiB.  Both grow as n^4.
 _MAX_N = 64
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _table(n: int) -> tuple[np.ndarray, ...]:
     """The chart layer's arrays at n, in this order: trip, idx, gather, bk and bk[idx][..., None].
 
@@ -58,8 +58,8 @@ def _table(n: int) -> tuple[np.ndarray, ...]:
     that coordinate.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K) gather
     table is the row, in a block's value table [0, u_1 .. u_{n-2}, 1, 1,
     u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of that slot's point of
-    triple idx[r, k], with point r + 1 moved by +h or -h.  Cached and
-    read-only; ValueError above n = _MAX_N, before anything is allocated.
+    triple idx[r, k], with point r + 1 moved by +h or -h.  Read-only, cached
+    for the last 8 n; ValueError above n = _MAX_N, before anything is allocated.
     """
     if n > _MAX_N:
         raise ValueError(f"a chart of {n - 2} coordinates is above the limit of {_MAX_N - 2} (n <= {_MAX_N})")
@@ -142,26 +142,38 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
     return InvalidChart(f"step h = {h:.3e} does not move chart coordinate {r + 1} = {float(u[r])!r}")
 
 
+# The chart layer's one memory bound: a stencil slice takes _BUDGET // (T * dim)
+# charts (1024 at n = 4, 24 at n = 8, one at n = 16) and a curve_length screen
+# _BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16).  At n = 16 a slice peaks
+# at about 170 KiB per chart and a screen at 35 KiB: screens of one piece spend
+# the time in call overhead, while larger slices or screens raise the peak RSS.
+_BUDGET = 8192
+
+
 def _central_jacobians(U: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
 
     Column r moves coordinate r by +h and -h and evaluates only the
-    C(n - 1, 2) triples that contain its point: one gather, through the
-    gather table of _table, from the block's values, then one cross-ratio and
-    cover evaluation for both signs of all columns of all charts.  Each entry is the same float
-    operations as perturbing one chart and one coordinate at a time, and
-    every other entry is an exact zero, as there.  Each difference is
-    wrapped into the lift nearest the base value.  U holds only rows that
-    _refusals passes.
+    C(n - 1, 2) triples that contain its point.  The charts are taken in
+    slices of _BUDGET // (T * dim).  A slice gathers, through the gather
+    table of _table, the operands of +h, then of -h, from its values and
+    takes their cross-ratios, then one cover of both, for all columns of
+    all its charts.  Each entry is the same float operations as perturbing
+    one chart and one coordinate at a time, and every other entry is an
+    exact zero, as there.  Each difference is wrapped into the lift nearest
+    the base value.  U holds only rows that _refusals passes.
     """
     m, dim = U.shape
     trip, idx, gather, _, bk_idx = _table(dim + 2)
-    V = U.T
-    ai, aj, ak = np.concatenate([np.zeros((1, m)), V, np.ones((2, m)), V + h, V - h])[gather]
-    num, den = _cross(0.0, 1.0, ai, 1.0, aj, 1.0, ak, bk_idx)
-    t = _cover_values(num / den)
     jac = np.zeros((m, len(trip), dim))
-    jac[:, idx, np.arange(dim)[:, None]] = np.moveaxis(_wrap(t[0] - t[1]) / (2.0 * h), -1, 0)
+    step, cols = max(1, _BUDGET // (len(trip) * dim)), np.arange(dim)[:, None]
+    for s in range(0, m, step):
+        V = U[s:s + step].T
+        k = V.shape[1]
+        a = np.concatenate([np.zeros((1, k)), V, np.ones((2, k)), V + h, V - h])
+        t = _cover_values(np.array([np.divide(*_cross(0.0, 1.0, a[p], 1.0, a[q], 1.0, a[r], bk_idx))
+                                    for p, q, r in gather.swapaxes(0, 1)]))  # one sign's operands at a time
+        jac[s:s + step, idx, cols] = np.moveaxis(_wrap(t[0] - t[1]) / (2.0 * h), -1, 0)
     return jac
 
 
@@ -171,11 +183,10 @@ def _pullback(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.swapaxes(-1, -2))
 
 
-# Trials per rank_scan block: about 1e4 stencil values at n = 8.  Larger
-# blocks raise the peak RSS of rank-scan at n = 8 from 31.5 MiB to 32.1,
-# 33.5 and 38.0 MiB at 32, 64 and 256 trials.  The random streams of a
-# chunk of 16 blocks are seeded, drawn and screened for their first chart
-# together.
+# Trials per rank_scan redraw loop.  A trial that exhausts its tries, or a
+# stuck step, stops the scan at its block.  The random streams of a chunk
+# of 16 blocks are seeded, drawn and screened for their first chart
+# together, and the chunk's accepted charts get one stencil and one SVD call.
 _SCAN_BLOCK = 16
 _SCAN_CHUNK = 16 * _SCAN_BLOCK
 
@@ -248,15 +259,6 @@ def metric_eval(u: ChartPoint, v, w, h: float = 1e-6) -> float:
     return float(v @ metric_matrix(u, h) @ w)
 
 
-# curve_length's one block constant: a refusal screen takes
-# _PATH_BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16), a stencil
-# _PATH_BUDGET // (T * dim) charts (1024 at n = 4, one at n = 16).  At
-# n = 16 a stencil holds about 260 KiB per chart and a screen about 35 KiB:
-# screens of one piece spend the time in call overhead, while more charts
-# per stencil, or screens of 2 T pieces, raise the peak RSS there.
-_PATH_BUDGET = 8192
-
-
 def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     """Length of a piecewise linear chart path under the averaged metric.
 
@@ -268,7 +270,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     An InvalidChart is never bisected.  The pieces of one split depth are
     screened in blocks, one _refusals screen of the midpoints and one of the
     fallback points at the cap per block, and a block's accepted charts get
-    their stencils, pullbacks and quadratic forms a stacked step at a time.
+    one stacked stencil, pullback and quadratic form.
     Each piece carries its _refusals rule, seam margin and chart; only the
     first failing piece in path order has its error built and raised.
     """
@@ -289,8 +291,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     P = np.array(pts)
     dim = P.shape[1]
     T = math.comb(dim + 2, 3)
-    block = max(1, _PATH_BUDGET // (4 * T))  # pieces per screen
-    step = max(1, _PATH_BUDGET // (T * dim))  # charts per stencil
+    block = max(1, _BUDGET // (4 * T))  # pieces per screen
     f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # fallback points, tried in this order
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
@@ -317,10 +318,8 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
                 i, k = cut[j], k[j]
                 R[i], M[i], C[i] = rule[j, k], margin[j, k], F[j, k]
             ok = live[R[live] == 0]
-            for q in (ok[o:o + step] for o in range(0, len(ok), step)):
-                d = du[q, None]
-                G = _pullback(_central_jacobians(C[q], h))
-                L[q] = np.sqrt(np.maximum(d @ G @ d.swapaxes(-1, -2), 0.0))[:, 0, 0]
+            d, G = du[ok, None], _pullback(_central_jacobians(C[ok], h))
+            L[ok] = np.sqrt(np.maximum(d @ G @ d.swapaxes(-1, -2), 0.0))[:, 0, 0]
             if len(cut) and depth > 0:
                 ends = np.stack([A[cut], C[cut], B[cut]], axis=1)  # halves in path order
                 got = lengths(ends[:, :2].reshape(-1, dim), ends[:, 1:].reshape(-1, dim), depth - 1)
@@ -356,9 +355,9 @@ def rank_scan(
     doubles of NumPy's default generator seeded with [seed, k], bit for
     bit, so the report is reproducible and order-independent; the streams
     are computed for a chunk of _SCAN_CHUNK trials at once, without
-    numpy.random, and the chunk's first draw is screened at once.  Trials
-    are evaluated in blocks: one redraw loop, one stencil evaluation and
-    one SVD call per block, with the same bits as one Jacobian per trial.
+    numpy.random, and the chunk's first draw is screened at once.  Each
+    block of _SCAN_BLOCK trials runs one redraw loop, then each chunk one stencil
+    evaluation and one SVD call, with the same bits as one Jacobian per trial.
     A chart of rule 1 or 2 is redrawn, so a stream stops at its first try
     of rule 0 or 3; the earliest such try of rule 3, then the lowest trial,
     raises.  Round 0 is the first draw; each later round draws as many
@@ -393,10 +392,10 @@ def rank_scan(
         chunk = range(c0, min(c0 + _SCAN_CHUNK, trials))
         state, inc = pcg64_streams(seed, chunk)
         state, drawn = draw(state, inc, 1)
-        rules = _refusals(drawn, h)[0]
+        rules, U = _refusals(drawn, h)[0], drawn[0]  # U: the accepted charts, once their blocks are done
         for b0 in range(0, len(chunk), _SCAN_BLOCK):
-            U = drawn[0, b0:b0 + _SCAN_BLOCK]
-            rows, V, rule, tries = np.arange(len(U)), U[None], rules[:, b0:b0 + _SCAN_BLOCK], 1
+            rows = np.arange(b0, min(b0 + _SCAN_BLOCK, len(chunk)))
+            V, rule, tries = U[None, rows], rules[:, rows], 1
             while True:
                 stop = (rule % 3).argmin(axis=0)  # the first try of rule 0 or 3, else any try
                 got = rule[stop, np.arange(len(rows))]
@@ -409,18 +408,18 @@ def rank_scan(
                 if not len(rows) or tries == reject_cap:
                     break
                 ahead = min(tries, reject_cap - tries)
-                state[b0 + rows], V = draw(state[b0 + rows], inc[b0 + rows], ahead)
+                state[rows], V = draw(state[rows], inc[rows], ahead)
                 rule, tries = _refusals(V, h)[0], tries + ahead
             if len(rows):
-                trial = chunk[b0 + rows[0]]
+                trial = chunk[rows[0]]
                 raise SeamTooClose(f"trial {trial}: no draw with seam margin above 10 h in {reject_cap} tries")
-            rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
-            short = np.flatnonzero(rank < dim)
-            full += len(U) - len(short)
-            if counterexample is None and len(short):
-                counterexample = [float(v) for v in U[short[0]]]
-            min_rank = min(min_rank, int(rank.min()))
-            worst_ratio = min(worst_ratio, float(ratio.min()))
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
+        short = np.flatnonzero(rank < dim)
+        full += len(U) - len(short)
+        if counterexample is None and len(short):
+            counterexample = [float(v) for v in U[short[0]]]
+        min_rank = min(min_rank, int(rank.min()))
+        worst_ratio = min(worst_ratio, float(ratio.min()))
     return {
         "n": n,
         "trials": trials,

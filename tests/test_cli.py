@@ -807,20 +807,26 @@ def test_plot_refuses_k_above_2_20_before_sampling(plot, k):
     assert proc.stderr == f"treemoduli: k = {k} is above the limit of 2**20 = 1048576 samples\n"
 
 
-@pytest.mark.parametrize("cmd", ["metric", "curve-length"])
+@pytest.mark.parametrize("cmd", ["metric", "curve-length", "albanese"])
 def test_chart_above_the_size_limit_exits_2(cmd, tmp_path):
     # in a child with a timeout: 63 coordinates (n = 65) are refused before
-    # any table or stencil is allocated
+    # any table or stencil is allocated, and a configuration of 601 points
+    # (n = 600; it took gigabytes and ended in a MemoryError traceback)
+    # before any triple is listed
     rows = [",".join(repr(x + 0.37 * k) for k in range(63)) for x in (2.0, 3.0)]
+    want = "a chart of 63 coordinates is above the limit of 62 (n <= 64)"
     if cmd == "metric":
         argv = ("--chart", rows[0])
+    elif cmd == "albanese":
+        argv = ("--points", json.dumps({"points": [0, "inf", *range(1, 600)]}))
+        want = "a configuration of n = 600 is above the albanese limit of n = 128"
     else:
         path = tmp_path / "rows.csv"
         path.write_text("\n".join(rows) + "\n")
         argv = ("--input", str(path))
     proc = run_child("-m", "treemoduli", cmd, *argv, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "treemoduli: a chart of 63 coordinates is above the limit of 62 (n <= 64)\n"
+    assert proc.stderr == f"treemoduli: {want}\n"
 
 
 def test_help_exits_zero():

@@ -472,14 +472,17 @@ def exact_metric(u):
 def test_exact_metric_is_continuous_across_seams(side):
     # the metric on the two sides of a seam agrees to first order in the
     # offset: the largest entry difference falls about 2^10-fold for each
-    # 2^-10 step of the offset (by 80.2, 1.93 and 1.57 times the offset)
-    gaps = []
-    for d in (2.0**-20, 2.0**-30, 2.0**-40):
-        lo, hi = exact_metric(side(-d)), exact_metric(side(d))
-        gaps.append(max(abs(x - y) for a, b in zip(lo, hi) for x, y in zip(a, b)))
-    for big, small in zip(gaps, gaps[1:]):
-        assert 2**9 <= big / small <= 2**11
-    assert gaps[-1] < Fraction(1, 10**10)
+    # 2^-10 step of the offset (at n = 4 by 80.2, 1.93 and 1.57 times the
+    # offset), also with generic dyadic coordinates after the seam's two
+    for n in range(4, 8):
+        rest = (-0.625, 3.75, 1.5625)[:n - 4]
+        gaps = []
+        for d in (2.0**-20, 2.0**-30, 2.0**-40):
+            lo, hi = exact_metric(side(-d) + rest), exact_metric(side(d) + rest)
+            gaps.append(max(abs(x - y) for a, b in zip(lo, hi) for x, y in zip(a, b)))
+        for big, small in zip(gaps, gaps[1:]):
+            assert 2**9 <= big / small <= 2**11, n
+        assert gaps[-1] < Fraction(1, 10**10)
 
 
 def masked_cover_values(rho):
@@ -660,6 +663,26 @@ def test_step_below_chart_resolution_is_refused(h):
         curve_length([ChartPoint((0.3, 0.5)), ChartPoint((0.6, 0.5))], h)
     # the exact Jacobian takes no step
     assert any(any(row) for row in _exact_jacobian(ChartPoint((0.3, 0.5))))
+
+
+def test_table_cache_holds_at_most_8_tables():
+    # a sweep over n = 33..64 kept 131 MiB of tables alive with 32 cached
+    assert _table.cache_info().maxsize == 8
+    for n in range(33, 65):
+        _table(n)
+    assert _table.cache_info().currsize <= 8
+    _table.cache_clear()
+
+
+def test_albanese_above_the_size_limit_is_refused(monkeypatch):
+    import treemoduli.configuration as conf
+
+    big = Configuration((ZERO, INFINITY, *(pt(float(k)) for k in range(1, 129))))  # n = 129
+    monkeypatch.setattr(conf, "triples", None)  # refused before any triple is listed
+    with pytest.raises(ValueError, match=r"^a configuration of n = 129 is above the albanese limit of n = 128$"):
+        albanese(big)
+    monkeypatch.setattr(conf, "triples", lambda n: [])
+    assert albanese(Configuration(big.points[:-1])) == []  # the limit itself is taken
 
 
 def test_chart_layer_re_exports_the_exact_layer():
@@ -1128,7 +1151,7 @@ def test_curve_length_does_not_depend_on_the_block_size(monkeypatch):
     ]
     want = [length_or_error(curve_length, rows, **kw) for rows, kw in paths]
     assert sum(isinstance(w, tuple) for w in want) == 6
-    monkeypatch.setattr(mod, "_PATH_BUDGET", 1)
+    monkeypatch.setattr(mod, "_BUDGET", 1)
     assert [length_or_error(curve_length, rows, **kw) for rows, kw in paths] == want
 
 
@@ -1164,7 +1187,7 @@ def test_benchmark_shaped_n16_path_does_not_depend_on_the_block_size(monkeypatch
     want = loop_curve_length(rows)
     assert curve_length(rows) == want
     for budget in (1, 10**9):
-        monkeypatch.setattr(mod, "_PATH_BUDGET", budget)
+        monkeypatch.setattr(mod, "_BUDGET", budget)
         assert curve_length(rows) == want
 
 
@@ -1184,12 +1207,12 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
     # block (numpy 2.4): 320 _refusals calls on the benchmark-shaped n = 16
     # path, where a stencil block is one chart, and tracemalloc peaks of
     # 440 KiB there and 975 KiB at n = 4 over 1000 segments.  A screen now
-    # takes 3 pieces at n = 16, and a stencil still one chart.
+    # takes 3 pieces at n = 16, and its stencil evaluates one chart per slice.
     import treemoduli.moduli as mod
 
     rows = bench_path(16)
-    screened, stencilled = [], []
-    screen, stencil = mod._refusals, mod._central_jacobians
+    screened, stencilled, sliced = [], [], []
+    screen, stencil, cross = mod._refusals, mod._central_jacobians, mod._cross
 
     def counting_screen(U, *args):
         screened.append(len(U))
@@ -1199,11 +1222,17 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
         stencilled.append(len(U))
         return stencil(U, *args)
 
+    def counting_cross(*args):
+        if args[-1].ndim == 3:  # the stencil's bk[idx][..., None]: one call per sign of a slice, charts last
+            sliced.append(args[2].shape[-1])
+        return cross(*args)
+
     monkeypatch.setattr(mod, "_refusals", counting_screen)
     monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
+    monkeypatch.setattr(mod, "_cross", counting_cross)
     curve_length(rows)
     assert len(screened) <= 0.4 * 320
-    assert max(stencilled) == 1
+    assert max(stencilled) > 1 and max(sliced) == 1 and sum(sliced) == 2 * sum(stencilled)
     monkeypatch.undo()
     assert peak_bytes(curve_length, rows) <= 1.15 * 450391
     assert peak_bytes(curve_length, bench_path(4)) <= 998288
@@ -1271,6 +1300,40 @@ def test_rank_scan_counterexample_matches_per_trial_loop():
     rep = rank_scan(6, 100, seed=5, tol=0.05)
     assert rep["counterexample"] is not None
     assert rep == loop_rank_scan(6, 100, 5, tol=0.05)
+
+
+def test_rank_scan_does_not_depend_on_the_stencil_budget(monkeypatch):
+    # one chart per stencil slice, or a whole chunk in one, gives the same report
+    import treemoduli.moduli as mod
+
+    cases = [((n, 300), {"seed": 3}) for n in range(3, 9)] + [((6, 300), {"seed": 5, "tol": 0.05})]
+    want = [rank_scan(*args, **kw) for args, kw in cases]
+    assert want[-1]["counterexample"] is not None
+    for budget in (1, 10**9):
+        monkeypatch.setattr(mod, "_BUDGET", budget)
+        assert [rank_scan(*args, **kw) for args, kw in cases] == want
+
+
+def test_rank_scan_decomposes_each_chunk_once(monkeypatch):
+    # one stencil and one SVD call per 256-trial chunk, after its redraw blocks
+    import treemoduli.moduli as mod
+
+    want = rank_scan(8, 1000, seed=1)
+    calls = []
+    stencil, rank = mod._central_jacobians, mod._rank_and_ratio
+
+    def counting_stencil(U, *args):
+        calls.append(("stencil", len(U)))
+        return stencil(U, *args)
+
+    def counting_rank(jac, *args):
+        calls.append(("svd", len(jac)))
+        return rank(jac, *args)
+
+    monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
+    monkeypatch.setattr(mod, "_rank_and_ratio", counting_rank)
+    assert rank_scan(8, 1000, seed=1) == want
+    assert calls == [(name, m) for m in (256, 256, 256, 232) for name in ("stencil", "svd")]
 
 
 STREAM_SEEDS = [0, 1, 5, 109, 2**32 - 1, 2**32, 2**64 + 5, 3**80, 10**39 + 7]
