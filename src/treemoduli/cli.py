@@ -270,7 +270,7 @@ def _dispatch(args, out) -> None:
 
     elif args.cmd == "albanese":
         cfg = _load_configuration(args)
-        values = _round12([t.t for t in configuration.albanese(cfg)])
+        values = _round12(configuration.albanese(cfg))
         # triples hold ints only, so they are not rounded
         doc = {**_round12(cfg.to_json()), "triples": configuration.triples(cfg.n), "values": values}
         out.write(json.dumps(doc) + "\n")

@@ -51,28 +51,31 @@ class LiftStepTooLarge(ArithmeticError):
     """Consecutive loop samples too far apart for a well-defined lift."""
 
 
+def _mod1(t: float) -> float:
+    """The representative of t in R/Z, in [0, 1); ValueError naming t when it is nan or infinite."""
+    r = t % 1.0
+    if r < 1.0:
+        return r
+    if r == 1.0:  # t % 1.0 can round up to 1.0 for tiny negative t
+        return 0.0
+    raise ValueError(f"angle {t!r} is not a finite number")  # nan and +-inf reduce to nan
+
+
 class CirclePoint(_Value):
     """Element of R/Z, stored as the representative in [0, 1)."""
 
     __slots__ = ("t",)
 
     def __init__(self, t: float):
-        r = t % 1.0
-        if r >= 1.0:  # t % 1.0 can round up to 1.0 for tiny negative t
-            r = 0.0
-        _set_t(self, r)
+        super().__init__(_mod1(t))
 
     def __float__(self) -> float:
         return self.t
 
 
-# The slot's own setter, cheaper than object.__setattr__: the exact path builds one point per value.
-_set_t = CirclePoint.t.__set__
-
-
 def circle_distance(s: CirclePoint | float, t: CirclePoint | float) -> float:
     """Arc-length metric on R/Z, normalized to total length 1."""
-    d = abs(float(s) % 1.0 - float(t) % 1.0)
+    d = abs(_mod1(float(s)) - _mod1(float(t)))
     return min(d, 1.0 - d)
 
 

@@ -13,9 +13,9 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .cover import CirclePoint, _branch, circle_distance, devadoss_length
+from .cover import _branch, _mod1, circle_distance, devadoss_length
 from .projline import ProjPoint, _integer, _Value
-from .tangent import cayley, circle_exp, stereo_param
+from .tangent import _cayley, _stereo_pair, cayley, circle_exp
 
 __all__ = [
     "ArcDescriptor",
@@ -77,10 +77,11 @@ class ArcDescriptor(_Value):
 def ideal_geodesic(t1: float, t2: float) -> ArcDescriptor:
     """Disk geodesic between the ideal points at angles t1, t2.
 
-    Raises CoincidentIdealPoints when the angles agree modulo 1.
+    Raises CoincidentIdealPoints when the angles agree modulo 1, and
+    ValueError naming an angle that is nan or infinite.
     """
-    t1 = float(t1) % 1.0
-    t2 = float(t2) % 1.0
+    t1 = _mod1(float(t1))
+    t2 = _mod1(float(t2))
     d = circle_distance(t1, t2)
     if d <= 1e-12:
         raise CoincidentIdealPoints(f"angles {t1} and {t2} coincide")
@@ -96,7 +97,7 @@ def ideal_geodesic(t1: float, t2: float) -> ArcDescriptor:
 
 
 def _angle(z: complex) -> float:
-    return (math.atan2(z.imag, z.real) / (2.0 * math.pi)) % 1.0
+    return _mod1(math.atan2(z.imag, z.real) / (2.0 * math.pi))
 
 
 class Tree3Figure(_Value):
@@ -134,8 +135,12 @@ def tree3_figure(
 _MAX_SAMPLES = 2**20
 
 
-def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
-    """k samples (s, x, cover value of x), x = tan(pi s), on the uniform grid of s in [-1/2, 1/2]."""
+def _loop(k: int) -> Iterator[tuple[float, float, float, float]]:
+    """k samples (s, a, b, t) on the uniform grid of s in [-1/2, 1/2].
+
+    [a : b] is stereo_param(s - 1/4) = tan(pi s) without its power-of-two
+    scale, which changes no quotient: t is circle_cover's value bit for bit.
+    """
     k = _integer(k, "k")
     if k < 2:
         raise ValueError("need at least two samples")
@@ -143,23 +148,23 @@ def _loop(k: int) -> Iterator[tuple[float, ProjPoint, CirclePoint]]:
         raise ValueError(f"k = {k} is above the limit of 2**20 = {_MAX_SAMPLES} samples")
     for j in range(k):
         s = -0.5 + j / (k - 1)
-        x = stereo_param(s - 0.25)
-        _, num, den, _ = _branch(x.a, x.b)
-        yield s, x, CirclePoint(num / den)
+        a, b = _stereo_pair(_mod1(s - 0.25))
+        _, num, den, _ = _branch(a, b)
+        yield s, a, b, _mod1(num / den)
 
 
-def helix_samples(k: int) -> list[tuple[CirclePoint, CirclePoint]]:
-    """k samples of (circle angle of x, cover value of x) along one loop.
+def helix_samples(k: int) -> list[tuple[float, float]]:
+    """k samples of (circle angle of x, cover value of x) along one loop, as floats in [0, 1).
 
     The first coordinate winds once around the circle, the second three
     times; the endpoints of the list agree modulo 1 in both coordinates.
     """
-    return [(CirclePoint(_angle(cayley(x))), t) for _s, x, t in _loop(k)]
+    return [(_angle(_cayley(a, b)), t) for _s, a, b, t in _loop(k)]
 
 
-def graph_samples(k: int) -> list[tuple[float, ProjPoint, CirclePoint]]:
-    """k samples (s, x, cover value) with x = tan(pi s) over one loop."""
-    return list(_loop(k))
+def graph_samples(k: int) -> list[tuple[float, float, float]]:
+    """k samples (s, x, cover value) with x = tan(pi s) over one loop, as floats; x = inf at the pole."""
+    return [(s, a / b if b else math.inf, t) for s, a, b, t in _loop(k)]
 
 
 # -- text emitters ---------------------------------------------------------
@@ -181,15 +186,14 @@ def arcs_csv(arcs) -> str:
 def helix_csv(samples) -> str:
     lines = ["point_angle,cover_angle"]
     for s, t in samples:
-        lines.append(f"{s.t:.9g},{t.t:.9g}")
+        lines.append(f"{s:.9g},{t:.9g}")
     return "\n".join(lines) + "\n"
 
 
 def graph_csv(samples) -> str:
     lines = ["loop_param,x,cover_value"]
     for s, x, t in samples:
-        xs = "inf" if x.b == 0.0 else f"{x.a / x.b:.9g}"
-        lines.append(f"{s:.9g},{xs},{t.t:.9g}")
+        lines.append(f"{s:.9g},{x:.9g},{t:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -273,9 +277,9 @@ def _torus_svg(points: list[tuple[float, float]]) -> str:
 
 def helix_svg(samples) -> str:
     """SVG chart of the helix in the unit square of the torus."""
-    return _torus_svg([(s.t, t.t) for s, t in samples])
+    return _torus_svg(samples)
 
 
 def graph_svg(samples) -> str:
     """SVG chart of the cover value against the loop parameter."""
-    return _torus_svg([((s + 0.5), t.t) for s, _x, t in samples])
+    return _torus_svg([((s + 0.5), t) for s, _x, t in samples])

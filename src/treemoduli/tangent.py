@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .cover import _mod1
 from .projline import INFINITY, ONE, ZERO, MobiusMap, ProjPoint, _integer, _Value
 
 __all__ = [
@@ -38,9 +39,17 @@ class DetNotOne(ArithmeticError):
 
 
 def circle_exp(t: float) -> complex:
-    """The point exp(2 pi i t) of the unit circle."""
-    t = float(t)
+    """The point exp(2 pi i t) of the unit circle, taken at t's representative in [0, 1).
+
+    ValueError naming t when it is nan or infinite.
+    """
+    t = _mod1(float(t))
     return complex(math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t))
+
+
+def _cayley(a: float, b: float) -> complex:
+    """The quotient (a - ib)/(b - ia) of a homogeneous pair [a : b]; unchanged by a power-of-two scale of it."""
+    return complex(a, -b) / complex(b, -a)
 
 
 def cayley(p: ProjPoint) -> complex:
@@ -49,9 +58,7 @@ def cayley(p: ProjPoint) -> complex:
     Computed homogeneously as (a - ib)/(b - ia), so infinity maps to i
     exactly; +-1 map to +-1 and 0 maps to -i.
     """
-    num = complex(p.a, -p.b)
-    den = complex(p.b, -p.a)
-    return num / den
+    return _cayley(p.a, p.b)
 
 
 def cayley_inv(z: complex) -> ProjPoint:
@@ -72,17 +79,27 @@ def cayley_inv(z: complex) -> ProjPoint:
     return ProjPoint((num * num.conjugate()).real, (den * num.conjugate()).real)
 
 
+def _stereo_pair(t: float) -> tuple[float, float]:
+    """The pair (sin theta, cos theta), theta = pi (t + 1/4), of a t in [0, 1), under ProjPoint's sign rule.
+
+    The pole t = 1/4 gives (1.0, 0.0) exactly.  Elsewhere both entries are
+    nonzero, so the sign rule flips the pair exactly when cos theta < 0.
+    """
+    if t == 0.25:
+        return 1.0, 0.0
+    theta = math.pi * (t + 0.25)
+    a, b = math.sin(theta), math.cos(theta)
+    return (a, b) if b > 0.0 else (-a, -b)
+
+
 def stereo_param(t: float) -> ProjPoint:
     """Parametrization tan(pi (t + 1/4)) of the line by the circle R/Z.
 
     Equals cayley_inv(circle_exp(t)); the pole at t = 1/4 returns the
-    point at infinity exactly.
+    point at infinity exactly.  ValueError naming t when it is nan or
+    infinite.
     """
-    t = float(t) % 1.0
-    if t == 0.25:
-        return INFINITY
-    theta = math.pi * (t + 0.25)
-    return ProjPoint(math.sin(theta), math.cos(theta))
+    return ProjPoint(*_stereo_pair(_mod1(float(t))))
 
 
 class SU11Matrix(_Value):

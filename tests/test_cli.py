@@ -783,6 +783,29 @@ def test_benchmark_tracer_sees_the_layers():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_exact_bulk_commands_build_no_point_per_value(monkeypatch, tmp_path):
+    # the plots and albanese hand plain floats to the emitters: the points a run
+    # builds do not grow with k or with the C(48, 3) = 17296 triples
+    from test_moduli import benchmark_shaped_configuration
+    from treemoduli.cover import CirclePoint
+    from treemoduli.projline import ProjPoint
+
+    built = []
+    for cls in (ProjPoint, CirclePoint):
+        def counting_init(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    config = tmp_path / "n48.json"
+    config.write_text(json.dumps(benchmark_shaped_configuration(48, seed=0).to_json()))
+    for argv in (("plot", "helix", "--k", "4096"), ("plot", "kappa-graph", "--k", "4096"),
+                 ("albanese", "--input", str(config))):
+        built.clear()
+        run_ok(*argv)
+        assert len(built) < 100, (argv, len(built))
+
+
 def test_cli_import_loads_neither_fractions_nor_decimal():
     # Fraction is imported by the code that uses it: group torsion among the commands;
     # the value types are __slots__ classes, so dataclasses and inspect are not loaded either

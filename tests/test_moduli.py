@@ -246,7 +246,7 @@ def test_fast_chart_path_matches_point_path_at_extreme_charts(u):
 def test_albanese_enumeration():
     c = Configuration((ZERO, pt(0.5), ONE, INFINITY))
     vals = albanese(c)
-    assert len(vals) == 1 and vals[0].t == 0.5
+    assert len(vals) == 1 and vals[0] == 0.5
     assert triples(4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     c4 = chart_embed(ChartPoint((0.3, 0.7)))
     assert len(albanese(c4)) == 4
@@ -290,6 +290,9 @@ def benchmark_shaped_configuration(n: int, seed: int) -> Configuration:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(homogeneous_configurations())
 @example(benchmark_shaped_configuration(48, seed=0))  # the determinant table's indices at n = 48
+# a subnormal product (4e-311 * 3.25) next to one above 2: _canon scales the pair
+# by 1/2 and rounds the subnormal entry, which the sign rule alone would not do
+@example(Configuration((ZERO, pt(4e-311), pt(1.5), pt(-1.75))))
 def test_albanese_is_triple_coord_bit_for_bit(c):
     # albanese evaluates the stored pairs without building points; it must
     # give triple_coord's value for every triple, or raise its 0/0 error
@@ -300,7 +303,7 @@ def test_albanese_is_triple_coord_bit_for_bit(c):
             albanese(c)
         assert str(info.value) == str(exc)
         return
-    assert [t.t.hex() for t in albanese(c)] == expected
+    assert [t.hex() for t in albanese(c)] == expected
 
 
 def test_albanese_permutation_covariance():
@@ -310,13 +313,13 @@ def test_albanese_permutation_covariance():
         c = chart_embed(random_chart(rng, n))
         perm = [int(v) for v in rng.permutation(np.arange(1, n + 1))]
         moved = relabel(perm, c)
-        base = {s: t.t for s, t in zip(triples(n), albanese(c))}
+        base = dict(zip(triples(n), albanese(c)))
         for s, t in zip(triples(n), albanese(moved)):
             src = tuple(sorted(perm.index(i) + 1 for i in s))
             # each factor is acted on through the quotient, so values
             # match up to the orientation-reversing reflection
-            d_same = circle_distance(t.t, base[src])
-            d_flip = circle_distance(t.t, (1.0 - base[src]) % 1.0)
+            d_same = circle_distance(t, base[src])
+            d_flip = circle_distance(t, (1.0 - base[src]) % 1.0)
             assert min(d_same, d_flip) < 1e-9
 
 

@@ -26,11 +26,11 @@ from treemoduli.projline import (
     frame_map,
     normalize_quadruple,
 )
-from treemoduli.cover import CirclePoint, cover_integral
+from treemoduli.cover import CirclePoint, circle_distance, cover_integral
 from treemoduli.moduli import BadIndex, ChartPoint, Configuration, NotAPermutation, check_triple, curve_length
 from treemoduli.moduli import forgetful, rank_scan, relabel
 from treemoduli.plots import graph_samples, helix_samples, ideal_geodesic, tree3_figure
-from treemoduli.tangent import SU11Matrix, mul, torsion_point
+from treemoduli.tangent import SU11Matrix, circle_exp, mul, stereo_param, torsion_point
 
 
 def random_points(rng, k, scale=1.0):
@@ -424,6 +424,31 @@ def test_integer_argument_refuses_non_integers(row, bad):
 def test_integer_argument_takes_integral_values(row):
     _name, call, _error = INTEGER_ARGUMENTS[row]
     assert call(3.0) == call(np.int64(3)) == call(3)
+
+
+# -- the library's one angle rule ------------------------------------------------
+
+
+# Every angle argument of the library, valid at 0.3: a name and a call of one value.
+ANGLE_ARGUMENTS = {
+    "CirclePoint": CirclePoint,
+    "circle_distance": lambda v: circle_distance(0.2, v),
+    "ideal_geodesic": lambda v: ideal_geodesic(v, 0.8),
+    "circle_exp": circle_exp,
+    "stereo_param": stereo_param,
+}
+
+
+@pytest.mark.parametrize("row", ANGLE_ARGUMENTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_angle_argument_refuses_non_finite_values(row, bad):
+    # each would otherwise return a NaN (or raise a bare "math domain error")
+    call = ANGLE_ARGUMENTS[row]
+    call(0.3)
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert info.type is ValueError
+    assert str(info.value) == f"angle {bad!r} is not a finite number"
 
 
 # -- value types ----------------------------------------------------------------
