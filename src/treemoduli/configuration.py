@@ -192,12 +192,6 @@ def _pair_dets(pairs) -> list[list]:
 # 78 MiB peak RSS from the command line.  Time and memory grow as n^3.
 _ALBANESE_MAX_N = 128
 
-# A product of two determinants of stored pairs is at most 64 in magnitude, so
-# _canon scales a pair down by at most 2**-6.  An entry at or above _SCALE_FREE
-# stays a normal float under that scale, which is then exact and changes no
-# branch quotient; an entry below it, zero included, takes _canon itself.
-_SCALE_FREE = 2.0**-1000
-
 
 def albanese(c: Configuration) -> list[float]:
     """All triple coordinates as floats in [0, 1), in lexicographic triple order.
@@ -205,10 +199,8 @@ def albanese(c: Configuration) -> list[float]:
     triple_coord(c, s).t of each triple bit for bit, taken on the stored
     pairs without a point per value.  The determinant d[p][q] of each two
     pairs is formed once, and triple (i, j, k) takes (d[0][i] d[j][k],
-    d[0][j] d[i][k]): the products _cross makes, in the same order.  The
-    pair then gets ProjPoint's sign rule, and its power-of-two scale only
-    where that scale could round (see _SCALE_FREE).  ValueError above
-    n = _ALBANESE_MAX_N, before anything is allocated.
+    d[0][j] d[i][k]): the products _cross makes, in the same order.
+    ValueError above n = _ALBANESE_MAX_N, before anything is allocated.
     """
     if c.n > _ALBANESE_MAX_N:
         raise ValueError(f"a configuration of n = {c.n} is above the albanese limit of n = {_ALBANESE_MAX_N}")
@@ -218,13 +210,9 @@ def albanese(c: Configuration) -> list[float]:
     values = []
     for i, j, k in triples(c.n):
         num, den = d0[i] * d[j][k], d0[j] * d[i][k]
-        if -_SCALE_FREE < num < _SCALE_FREE or -_SCALE_FREE < den < _SCALE_FREE:
-            if num == 0.0 and den == 0.0:
-                _cross_checked(*pairs[0], *pairs[i], *pairs[j], *pairs[k])  # the same products: raises its 0/0 error
-            num, den = _canon(num, den)
-        elif den < 0.0:
-            num, den = -num, -den
-        _, num, den, _ = _branch(num, den)
+        if num == 0.0 and den == 0.0:
+            _cross_checked(*pairs[0], *pairs[i], *pairs[j], *pairs[k])  # the same products: raises its 0/0 error
+        _, num, den, _ = _branch(*_canon(num, den))
         values.append(_mod1(num / den))
     return values
 

@@ -94,6 +94,10 @@ def test_stereo_param_examples():
     assert stereo_param(0.0) == ONE
     assert stereo_param(0.25).is_infinite
     assert stereo_param(0.5).affine == pytest.approx(-1.0)
+    # -1e-20 % 1.0 rounds up to 1.0, whose theta 5 pi/4 would give a pair a
+    # last bit away from theta = pi/4: t is reduced into [0, 1) first
+    p = stereo_param(-1e-20)
+    assert (p.a.hex(), p.b.hex()) == ("0x1.6a09e667f3bccp+0", "0x1.6a09e667f3bcdp+0")
     rng = np.random.default_rng(4)
     for t in rng.random(200):
         if abs(t - 0.25) < 1e-9:
