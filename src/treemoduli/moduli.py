@@ -20,7 +20,7 @@ from .configuration import (  # the exact layer, re-exported
     BadIndex, ChartPoint, Configuration, InvalidChart, NotAPermutation, albanese, chart_coords,
     chart_embed, check_triple, forgetful, relabel, triple_coord, triples,
 )
-from .projline import _cross, _integer
+from .projline import _integer
 
 __all__ = [
     "Configuration", "ChartPoint", "triples", "check_triple", "chart_coords", "chart_embed",
@@ -43,20 +43,21 @@ class NonFiniteEntry(ValueError):
 
 
 # Largest n the chart layer takes, 62 chart coordinates: there the table holds
-# 8.7 MiB and a first metric, table included, peaks at 36 MiB.  Both grow as n^4.
+# 8.7 MiB and a first metric, table included, peaks at 36.4 MiB.  Both grow as n^4.
 _MAX_N = 64
 
 
 @functools.lru_cache(maxsize=8)
 def _table(n: int) -> tuple[np.ndarray, ...]:
-    """The chart layer's arrays at n, in this order: trip, idx, gather, bk and bk[idx][..., None].
+    """The chart layer's arrays at n, in this order: trip, gather, bk, bk[idx] and flat.
 
     trip (T, 3) lists the triples and bk the b column of their last point
     (0 at the infinity anchor).  Row r of the (n - 2, K) index table idx
     lists, in triple order, the K = C(n - 1, 2) triples that contain point
     r + 1, the point of chart coordinate r; no other triple ratio depends on
-    that coordinate.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K) gather
-    table is the row, in a block's value table [0, u_1 .. u_{n-2}, 1, 1,
+    that coordinate, and flat[r K + k] is entry (idx[r, k], r) of a flat
+    (T, n - 2) Jacobian.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K)
+    gather table is the row, in a chart's value table [0, u_1 .. u_{n-2}, 1, 1,
     u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of that slot's point of
     triple idx[r, k], with point r + 1 moved by +h or -h.  Read-only, cached
     for the last 8 n; ValueError above n = _MAX_N, before anything is allocated.
@@ -69,25 +70,41 @@ def _table(n: int) -> tuple[np.ndarray, ...]:
     idx = np.array([np.flatnonzero((trip == p).any(axis=1)) for p in pts])
     slots = trip[idx].transpose(2, 0, 1)[:, None]
     moved = n + pts[:, None] + np.arange(2)[:, None, None] * (n - 2)
-    table = trip, idx, np.where(slots == pts[:, None], moved, slots), bk, bk[idx][..., None]
+    table = trip, np.where(slots == pts[:, None], moved, slots), bk, bk[idx], (idx * (n - 2) + pts[:, None] - 1).ravel()
     for a in table:
         a.flags.writeable = False
     return table
 
 
+def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    """Cross-ratios of [0 : 1], [a_i : 1], [a_j : 1] and [a_k : b_k], the a gathered from the last axis of a.
+
+    (0 - a_i)(a_j b_k - a_k) / ((0 - a_j)(a_i b_k - a_k)): projline._cross with
+    its exact products by 1.0 dropped and every other operation in its order,
+    so its num / den bit for bit.  In place: at most four result-sized arrays.
+    """
+    x13 = a.take(i, axis=-1) * bk
+    ak = a.take(k, axis=-1)
+    x13 -= ak
+    aj = a.take(j, axis=-1)
+    den = np.multiply(0.0 - aj, x13, out=x13)
+    aj *= bk
+    aj -= ak
+    del ak  # take copies its read-only index, so one more array is alive during each take
+    num = np.multiply((0.0 - a).take(i, axis=-1), aj, out=aj)
+    return np.divide(num, den, out=num)
+
+
 def _chart_ratios(u: np.ndarray) -> np.ndarray:
     """Cross-ratios of all triples at a chart, as affine values, on the last axis.
 
-    The same determinant formula as the exact path's cross_ratio, on the
-    standard gauge x_0 = [0 : 1], x_m = [u_m : 1], x_{n-1} = [1 : 1] and
-    x_n = [1 : 0]; only the last point of a triple can be x_n.  Leading
-    axes of u are batch axes.
+    The exact path's cross_ratio on the standard gauge x_0 = [0 : 1],
+    x_m = [u_m : 1], x_{n-1} = [1 : 1] and x_n = [1 : 0]; only the last
+    point of a triple can be x_n.  Leading axes of u are batch axes.
     """
-    trip, _, _, bk, _ = _table(u.shape[-1] + 2)
-    lead = u.shape[:-1]
-    a = np.concatenate([np.zeros(lead + (1,)), u, np.ones(lead + (2,))], axis=-1)
-    num, den = _cross(0.0, 1.0, a[..., trip[..., 0]], 1.0, a[..., trip[..., 1]], 1.0, a[..., trip[..., 2]], bk)
-    return num / den
+    trip, _, bk, _, _ = _table(u.shape[-1] + 2)
+    a = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u, np.ones(u.shape[:-1] + (2,))], axis=-1)
+    return _gauge_ratios(a, *trip.T, bk)
 
 
 def _cover_values(rho: np.ndarray) -> np.ndarray:
@@ -114,7 +131,9 @@ def _seam_margin(rho: np.ndarray) -> np.ndarray:
 def _wrap(d: np.ndarray) -> np.ndarray:
     """(d + 0.5) % 1.0 - 0.5 bit for bit for d in [-1, 1], where the modulo is a shift by 1 (exact)."""
     x = d + 0.5
-    return np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x)) - 0.5
+    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) >= 1.0:
+        x = np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x))
+    return x - 0.5
 
 
 def _refusals(U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +164,8 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
 # The chart layer's one memory bound: a stencil slice takes _BUDGET // (T * dim)
 # charts (1024 at n = 4, 24 at n = 8, one at n = 16) and a curve_length screen
 # _BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16).  At n = 16 a slice peaks
-# at about 170 KiB per chart and a screen at 35 KiB: screens of one piece spend
-# the time in call overhead, while larger slices or screens raise the peak RSS.
+# at about 160 KiB per chart and a screen at 31 KiB per piece: screens of one piece
+# spend the time in call overhead, while larger slices or screens raise the peak RSS.
 _BUDGET = 8192
 
 
@@ -154,27 +173,23 @@ def _central_jacobians(U: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
 
     Column r moves coordinate r by +h and -h and evaluates only the
-    C(n - 1, 2) triples that contain its point.  The charts are taken in
-    slices of _BUDGET // (T * dim).  A slice gathers, through the gather
-    table of _table, the operands of +h, then of -h, from its values and
-    takes their cross-ratios, then one cover of both, for all columns of
-    all its charts.  Each entry is the same float operations as perturbing
-    one chart and one coordinate at a time, and every other entry is an
-    exact zero, as there.  Each difference is wrapped into the lift nearest
-    the base value.  U holds only rows that _refusals passes.
+    C(n - 1, 2) triples that contain its point.  Slices of _BUDGET // (T * dim)
+    charts, charts on the leading axis, gather the operands of both signs
+    through the gather table of _table and take their cross-ratios and one
+    cover.  Each entry is the same float operations as perturbing one chart
+    and one coordinate at a time, and every other entry is an exact zero, as
+    there.  Each difference is wrapped into the lift nearest the base value.
+    U holds only rows that _refusals passes.
     """
     m, dim = U.shape
-    trip, idx, gather, _, bk_idx = _table(dim + 2)
-    jac = np.zeros((m, len(trip), dim))
-    step, cols = max(1, _BUDGET // (len(trip) * dim)), np.arange(dim)[:, None]
+    trip, gather, _, bk_idx, flat = _table(dim + 2)
+    jac, step = np.zeros((m, len(trip) * dim)), max(1, _BUDGET // (len(trip) * dim))
     for s in range(0, m, step):
-        V = U[s:s + step].T
-        k = V.shape[1]
-        a = np.concatenate([np.zeros((1, k)), V, np.ones((2, k)), V + h, V - h])
-        t = _cover_values(np.array([np.divide(*_cross(0.0, 1.0, a[p], 1.0, a[q], 1.0, a[r], bk_idx))
-                                    for p, q, r in gather.swapaxes(0, 1)]))  # one sign's operands at a time
-        jac[s:s + step, idx, cols] = np.moveaxis(_wrap(t[0] - t[1]) / (2.0 * h), -1, 0)
-    return jac
+        V = U[s:s + step]
+        a = np.concatenate([np.zeros((len(V), 1)), V, np.ones((len(V), 2)), V + h, V - h], axis=1)
+        t = _cover_values(_gauge_ratios(a, *gather, bk_idx))  # (charts, sign, dim, K)
+        jac[s:s + step, flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), -1)
+    return jac.reshape(m, len(trip), dim)
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:

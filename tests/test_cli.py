@@ -156,6 +156,14 @@ def test_golden_outputs():
         (("metric", "--chart", "0.1,0.2,0.35,-4,9"), "metric_n7.txt"),
         (("curve-length", "--input", str(GOLDEN / "seam_path.csv")), "curve_length_seam.txt"),
     ]
+    # the same at the shapes the benchmark runs: a 300-segment n = 16 path with
+    # seam crossings, an n = 16 metric and a scan with a counterexample
+    table += [
+        (("curve-length", "--input", str(GOLDEN / "bench_path_n16.csv")), "curve_length_bench_n16.txt"),
+        (("metric", "--chart", "0.15,-1.35,2.25,0.45,-0.65,3.05,1.65,-2.15,0.75,2.65,-0.25,1.25,-1.75,3.45"),
+         "metric_n16.txt"),
+        (("rank-scan", "--n", "7", "--trials", "200", "--seed", "3"), "rank_scan_n7_seed3.txt"),
+    ]
     # exact path: albanese on extreme homogeneous pairs, and the loop emitters
     table += [
         (("albanese", "--input", str(GOLDEN / "albanese_n12.json")), "albanese_n12.txt"),

@@ -38,6 +38,7 @@ from treemoduli.moduli import (
     _central_jacobians,
     _chart_ratios,
     _cover_values,
+    _gauge_ratios,
     _pullback,
     _rank_and_ratio,
     _refusal,
@@ -55,6 +56,7 @@ from treemoduli.projline import (
     IndeterminateCrossRatio,
     MobiusMap,
     ProjPoint,
+    _cross,
     chordal,
     cross_ratio,
 )
@@ -505,6 +507,15 @@ def modulo_wrap(d):
     return (d + 0.5) % 1.0 - 0.5
 
 
+def gauge_cross_ratios(u):
+    """Reference chart ratios: projline._cross on the gauge pairs [0 : 1], [u_m : 1], [1 : 1], [1 : 0]."""
+    n = len(u) + 2
+    trip = np.array(triples(n))
+    a = np.concatenate([[0.0], u, [1.0, 1.0]])
+    num, den = _cross(0.0, 1.0, a[trip[:, 0]], 1.0, a[trip[:, 1]], 1.0, a[trip[:, 2]], (trip[:, 2] != n) * 1.0)
+    return num / den
+
+
 def loop_jacobian(u, h=1e-6):
     """Reference central differences: one chart, one coordinate at a time."""
     base = u.as_array()
@@ -513,8 +524,8 @@ def loop_jacobian(u, h=1e-6):
         up, dn = base.copy(), base.copy()
         up[m] += h
         dn[m] -= h
-        tp = masked_cover_values(_chart_ratios(up))
-        tm = masked_cover_values(_chart_ratios(dn))
+        tp = masked_cover_values(gauge_cross_ratios(up))
+        tm = masked_cover_values(gauge_cross_ratios(dn))
         jac[:, m] = modulo_wrap(tp - tm) / (2.0 * h)
     return jac
 
@@ -533,7 +544,13 @@ def test_cover_values_and_wrap_match_the_reference_bit_for_bit():
         [0.5, -0.5, 1.0, -1.0, 0.0, -0.0], half, -half, rng.uniform(-1.0, 1.0, 1000),
         np.nextafter([-1.0, 1.0], 0.0), np.nextafter([0.5, -0.5], 0.0),
     ])
-    assert _wrap(d).tobytes() == modulo_wrap(d).tobytes()
+    # _wrap shifts only when some d + 0.5 leaves [0, 1): arrays that need no
+    # shift, and single values on both sides of each edge
+    edges = [-1.0, 1.0, -0.5, 0.5, 0.0, -0.0, *np.nextafter([-0.5, -0.5, 0.5, 0.5], [-1.0, 0.0, 0.0, 1.0])]
+    for x in [d, rng.uniform(-0.5, 0.5, 1000), np.array([0.0, -0.0]), np.nextafter([0.5, -0.5], 0.0),
+              np.empty(0), *([e] for e in edges)]:
+        x = np.asarray(x, dtype=float)
+        assert _wrap(x).tobytes() == modulo_wrap(x).tobytes(), x
 
 
 def test_cover_values_of_nan_ratios_are_nan():
@@ -543,6 +560,22 @@ def test_cover_values_of_nan_ratios_are_nan():
         got = _cover_values(rho)
         assert np.isnan(got[[0, 2, 4]]).all()
         assert list(got[[1, 3]]) == [0.5, 0.5]
+
+
+def test_gauge_ratios_are_cross_num_over_den_bit_for_bit():
+    # Every (a_i, a_j, a_k, b_k) over signed zeros, subnormals, 1e+-300 and
+    # ordinary and non-finite values, colliding wherever two draws agree, so
+    # signs of zeros and NaN positions count; both rows of a batch of two.
+    v = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1e-300, -1e-300, 1e300, -1e300,
+                  0.3, -2.5, 1.0, math.inf, math.nan])
+    i, j, k, bk = (x.ravel() for x in np.meshgrid(*[np.arange(len(v))] * 3, [0.0, 1.0], indexing="ij"))
+    a = np.stack([v, v[::-1]])
+    with np.errstate(all="ignore"):
+        got = _gauge_ratios(a, i, j, k, bk)
+        for row, w in zip(got, a):
+            num, den = _cross(0.0, 1.0, w[i], 1.0, w[j], 1.0, w[k], bk)
+            assert row.tobytes() == (num / den).tobytes()
+    assert np.isnan(got).any() and np.isinf(got).any() and np.signbit(got[got == 0.0]).any()
 
 
 def test_stacked_central_jacobians_match_per_chart_loop():
@@ -563,12 +596,14 @@ def test_stacked_central_jacobians_match_per_chart_loop():
 
 def test_gather_table_moves_each_point_in_its_own_slot():
     for n in (3, 5, 9):
-        trip, idx, gather, bk, bk_idx = _table(n)
+        trip, gather, bk, bk_idx, flat = _table(n)
         dim, K = n - 2, math.comb(n - 1, 2)
         assert [tuple(t) for t in trip] == triples(n)
         assert list(bk) == [float(t[2] != n) for t in trip]  # 0 at the infinity anchor
-        assert idx.shape == (dim, K) and gather.shape == (3, 2, dim, K) and bk_idx.shape == (dim, K, 1)
-        assert bk_idx.tobytes() == bk[idx][..., None].tobytes()
+        assert gather.shape == (3, 2, dim, K) and bk_idx.shape == (dim, K) and flat.shape == (dim * K,)
+        idx, col = np.divmod(flat.reshape(dim, K), dim)  # (triple, coordinate) in a flat (T, dim) Jacobian
+        assert (col == np.arange(dim)[:, None]).all()
+        assert bk_idx.tobytes() == bk[idx].tobytes()
         for r in range(dim):
             assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
             for sign in range(2):
@@ -700,7 +735,7 @@ def test_chart_layer_re_exports_the_exact_layer():
 
 
 def test_triple_table_is_cached_and_read_only():
-    # one table per n, shared by every kernel call: trip, idx, gather, bk, bk[idx][..., None]
+    # one table per n, shared by every kernel call: trip, gather, bk, bk[idx], flat
     table = _table(6)
     assert len(table) == 5
     for a, again in zip(table, _table(6)):
@@ -1215,7 +1250,7 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
 
     rows = bench_path(16)
     screened, stencilled, sliced = [], [], []
-    screen, stencil, cross = mod._refusals, mod._central_jacobians, mod._cross
+    screen, stencil, cover = mod._refusals, mod._central_jacobians, mod._cover_values
 
     def counting_screen(U, *args):
         screened.append(len(U))
@@ -1225,17 +1260,16 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
         stencilled.append(len(U))
         return stencil(U, *args)
 
-    def counting_cross(*args):
-        if args[-1].ndim == 3:  # the stencil's bk[idx][..., None]: one call per sign of a slice, charts last
-            sliced.append(args[2].shape[-1])
-        return cross(*args)
+    def counting_cover(rho):
+        sliced.append(len(rho))  # the stencil's one cover per slice, charts on the leading axis
+        return cover(rho)
 
     monkeypatch.setattr(mod, "_refusals", counting_screen)
     monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
-    monkeypatch.setattr(mod, "_cross", counting_cross)
+    monkeypatch.setattr(mod, "_cover_values", counting_cover)
     curve_length(rows)
     assert len(screened) <= 0.4 * 320
-    assert max(stencilled) > 1 and max(sliced) == 1 and sum(sliced) == 2 * sum(stencilled)
+    assert max(stencilled) > 1 and max(sliced) == 1 and sum(sliced) == sum(stencilled)
     monkeypatch.undo()
     assert peak_bytes(curve_length, rows) <= 1.15 * 450391
     assert peak_bytes(curve_length, bench_path(4)) <= 998288
