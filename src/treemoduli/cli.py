@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import configuration, cover, plots, tangent
-from .projline import INFINITY, ProjPoint, cross_ratio
+from .projline import INFINITY, MobiusMap, ProjPoint, cross_ratio
 
 __all__ = ["main", "entry", "parse_point", "ParseError"]
 
@@ -72,25 +72,10 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(_round12(obj))
-
-
 # Every setting a command can read, with its type and accepted values: a flag
 # and a --config value are checked with the same ones.
 _TYPES = {"h": float, "tol": float, "seed": int, "trials": int, "n": int, "k": int, "format": str}
 _CHOICES = {"format": ("csv", "svg")}
-
-# The settings each command reads, and their defaults.  A flag overrides a
-# --config value, which overrides the default; no other command takes any.
-_COMMAND_SETTINGS = {
-    "metric": {"h": 1e-6},
-    "rank-scan": {"n": 4, "trials": 100, "seed": 0, "h": 1e-6, "tol": 1e-6},
-    "curve-length": {"h": 1e-6},
-    "tree3": {"format": "svg"},
-    "helix": {"format": "csv", "k": 256},
-    "kappa-graph": {"format": "csv", "k": 256},
-}
 
 
 def _read_config(path: str) -> dict:
@@ -122,67 +107,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _command(subparsers, name: str, help: str) -> argparse.ArgumentParser:
-    """The parser of command name, with --config and a flag per setting if it reads any."""
+def _command(subparsers, name: str, help: str, run=None, **settings) -> argparse.ArgumentParser:
+    """The parser of command name, whose run(args) returns the command's whole stdout text.
+
+    settings are the values the command reads, with their defaults.  Each is
+    a flag and a --config key; a flag overrides a --config value, which
+    overrides the default.  run looks up what it calls when it runs, so a
+    function replaced after the parser is built (as the benchmark's tracer
+    does) is still called.
+    """
     p = subparsers.add_parser(name, help=help, allow_abbrev=False)
-    settings = _COMMAND_SETTINGS.get(name)
     if settings:
         p.add_argument("--config", help="key=value defaults file; flags override")
         for key, default in settings.items():
             p.add_argument("--" + key, type=_TYPES[key], choices=_CHOICES.get(key), help=f"default {default}")
-        p.set_defaults(settings=settings)
+    p.set_defaults(run=run, settings=settings)
     return p
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built on first use, then reused; no parser takes abbreviations, so --h never means --help."""
-    description = "Projective-line covers, tangent addition, and tree moduli metrics."
-    parser = _Parser(prog="treemoduli", description=description, allow_abbrev=False)
-    parser.set_defaults(config=None, settings={})
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    _command(sub, "crossratio", "cross-ratio of four points").add_argument("points", nargs=4)
-    _command(sub, "kappa", "circle cover value of a point").add_argument("point")
-    _command(sub, "gamma", "internal-edge length of a quadruple").add_argument("points", nargs=4)
-
-    gsub = _command(sub, "group", "tangent group operations").add_subparsers(dest="groupcmd", required=True)
-    _command(gsub, "add", "tangent sum (p + q)/(1 - pq)").add_argument("operands", nargs=2)
-    g = _command(gsub, "mul", "m-fold tangent sum")
-    g.add_argument("m", type=int)
-    g.add_argument("point")
-    _command(gsub, "neg", "group inverse").add_argument("point")
-    _command(gsub, "torsion", "torsion point tan(pi q)").add_argument("q", help="rational a/b")
-
-    _command(sub, "cayley", "circle image of a point").add_argument("point")
-    p = _command(sub, "su11", "SU(1,1) form of a det-1 matrix")
-    p.add_argument("entries", nargs=4, type=float, metavar=("A", "B", "C", "D"))
-
-    p = _command(sub, "albanese", "all triple coordinates").add_mutually_exclusive_group(required=True)
-    p.add_argument("--points", dest="points_json", help="configuration as inline JSON")
-    p.add_argument("--input", help="configuration JSON file")
-    p = _command(sub, "metric", "averaged metric at a chart")
-    p.add_argument("--chart", required=True, help="comma-separated chart coordinates")
-    _command(sub, "rank-scan", "random rank probe of the Albanese differential")
-    p = _command(sub, "curve-length", "length of a chart path")
-    p.add_argument("--input", help="CSV of chart rows, or - for stdin")
-
-    psub = _command(sub, "plot", "figure data emitters").add_subparsers(dest="plotcmd", required=True)
-    _command(psub, "tree3", "disk figure of a tree with three leaves").add_argument("points", nargs=4)
-    _command(psub, "helix", "circle angle against cover value along one loop")
-    _command(psub, "kappa-graph", "cover value along one loop")
-    return parser
-
-
-def _load_configuration(args) -> configuration.Configuration:
-    try:
-        if args.input is None:
-            doc = json.loads(args.points_json)
-        else:
-            with open(args.input, encoding="utf-8") as fh:
-                doc = json.load(fh)
-    except RecursionError:
-        raise ParseError("configuration JSON is nested too deeply") from None
-    return configuration.Configuration.from_json(doc)
 
 
 def _parse_chart(text: str) -> tuple[float, ...]:
@@ -228,90 +168,138 @@ def _read_chart_rows(args) -> list[tuple[float, ...]]:
     return rows
 
 
-def _dispatch(args, out) -> None:
-    if args.cmd == "crossratio":
-        pts = [parse_point(t) for t in args.points]
-        out.write(fmt_point(cross_ratio(*pts)) + "\n")
+def _line(p: ProjPoint) -> str:
+    return fmt_point(p) + "\n"
 
-    elif args.cmd == "kappa":
-        out.write(_g12(cover.circle_cover(parse_point(args.point)).t) + "\n")
 
-    elif args.cmd == "gamma":
-        pts = [parse_point(t) for t in args.points]
-        out.write(fmt_point(cover.devadoss_length(*pts)) + "\n")
+def _json_line(obj) -> str:
+    return json.dumps(_round12(obj)) + "\n"
 
-    elif args.cmd == "group":
-        if args.groupcmd == "add":
-            a, b = (parse_point(t) for t in args.operands)
-            out.write(fmt_point(tangent.add(a, b)) + "\n")
-        elif args.groupcmd == "mul":
-            out.write(fmt_point(tangent.mul(args.m, parse_point(args.point))) + "\n")
-        elif args.groupcmd == "neg":
-            out.write(fmt_point(tangent.neg(parse_point(args.point))) + "\n")
+
+def _reim(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def _points(args) -> list[ProjPoint]:
+    return [parse_point(t) for t in args.points]
+
+
+def _torsion(args) -> str:
+    from fractions import Fraction
+
+    try:
+        q = Fraction(args.q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {args.q!r}") from exc
+    return _line(tangent.torsion_point(q))
+
+
+def _su11(args) -> str:
+    mat = tangent.su11_conjugate(MobiusMap(*args.entries))
+    return _json_line({"u": _reim(mat.u), "v": _reim(mat.v)})
+
+
+def _albanese(args) -> str:
+    try:
+        if args.input is None:
+            doc = json.loads(args.points_json)
         else:
-            from fractions import Fraction
+            with open(args.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ParseError("configuration JSON is nested too deeply") from None
+    cfg = configuration.Configuration.from_json(doc)
+    values = _round12(configuration.albanese(cfg))
+    # triples hold ints only, so they are not rounded
+    return json.dumps({**_round12(cfg.to_json()), "triples": configuration.triples(cfg.n), "values": values}) + "\n"
 
-            try:
-                q = Fraction(args.q)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational {args.q!r}") from exc
-            out.write(fmt_point(tangent.torsion_point(q)) + "\n")
 
-    elif args.cmd == "cayley":
-        z = tangent.cayley(parse_point(args.point))
-        out.write(_emit_json([z.real, z.imag]) + "\n")
+def _metric(args) -> str:
+    from . import moduli
 
-    elif args.cmd == "su11":
-        from .projline import MobiusMap
+    chart = moduli.ChartPoint(_parse_chart(args.chart))
+    g = moduli.metric_matrix(chart, args.h)
+    return _json_line({"n": chart.n, "h": args.h, "chart": list(chart.u), "matrix": g.tolist()})
 
-        mat = tangent.su11_conjugate(MobiusMap(*args.entries))
-        doc = {"u": [mat.u.real, mat.u.imag], "v": [mat.v.real, mat.v.imag]}
-        out.write(_emit_json(doc) + "\n")
 
-    elif args.cmd == "albanese":
-        cfg = _load_configuration(args)
-        values = _round12(configuration.albanese(cfg))
-        # triples hold ints only, so they are not rounded
-        doc = {**_round12(cfg.to_json()), "triples": configuration.triples(cfg.n), "values": values}
-        out.write(json.dumps(doc) + "\n")
+def _rank_scan(args) -> str:
+    from . import moduli
 
-    elif args.cmd == "metric":
-        from . import moduli
+    return _json_line(moduli.rank_scan(args.n, args.trials, args.seed, h=args.h, tol=args.tol))
 
-        chart = moduli.ChartPoint(_parse_chart(args.chart))
-        g = moduli.metric_matrix(chart, args.h)
-        doc = {"n": chart.n, "h": args.h, "chart": list(chart.u), "matrix": g.tolist()}
-        out.write(_emit_json(doc) + "\n")
 
-    elif args.cmd == "rank-scan":
-        from . import moduli
+def _curve_length(args) -> str:
+    from . import moduli
 
-        report = moduli.rank_scan(args.n, args.trials, args.seed, h=args.h, tol=args.tol)
-        out.write(_emit_json(report) + "\n")
+    rows = _read_chart_rows(args)
+    return _json_line({"h": args.h, "samples": len(rows), "length": moduli.curve_length(rows, args.h)})
 
-    elif args.cmd == "curve-length":
-        from . import moduli
 
-        rows = _read_chart_rows(args)
-        length = moduli.curve_length(rows, args.h)
-        out.write(_emit_json({"h": args.h, "samples": len(rows), "length": length}) + "\n")
+def _tree3(args) -> str:
+    fig = plots.tree3_figure(*_points(args))
+    if args.format == "svg":
+        return plots.disk_svg(fig)
+    return f"# internal_edge_length={fmt_point(fig.gamma)}\n" + plots.arcs_csv(fig.arcs)
 
-    elif args.cmd == "plot":
-        if args.plotcmd == "tree3":
-            fig = plots.tree3_figure(*(parse_point(t) for t in args.points))
-            if args.format == "svg":
-                out.write(plots.disk_svg(fig))
-            else:
-                out.write(f"# internal_edge_length={fmt_point(fig.gamma)}\n")
-                out.write(plots.arcs_csv(fig.arcs))
-        else:
-            sample, csv, svg = (
-                (plots.helix_samples, plots.helix_csv, plots.helix_svg)
-                if args.plotcmd == "helix"
-                else (plots.graph_samples, plots.graph_csv, plots.graph_svg)
-            )
-            samples = sample(args.k)
-            out.write(csv(samples) if args.format == "csv" else svg(samples))
+
+def _helix(args) -> str:
+    samples = plots.helix_samples(args.k)
+    return plots.helix_csv(samples) if args.format == "csv" else plots.helix_svg(samples)
+
+
+def _kappa_graph(args) -> str:
+    samples = plots.graph_samples(args.k)
+    return plots.graph_csv(samples) if args.format == "csv" else plots.graph_svg(samples)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """Built on first use, then reused; no parser takes abbreviations, so --h never means --help."""
+    description = "Projective-line covers, tangent addition, and tree moduli metrics."
+    parser = _Parser(prog="treemoduli", description=description, allow_abbrev=False)
+    parser.set_defaults(config=None)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = _command(sub, "crossratio", "cross-ratio of four points", lambda a: _line(cross_ratio(*_points(a))))
+    p.add_argument("points", nargs=4)
+    p = _command(sub, "kappa", "circle cover value of a point",
+                 lambda a: _g12(cover.circle_cover(parse_point(a.point)).t) + "\n")
+    p.add_argument("point")
+    p = _command(sub, "gamma", "internal-edge length of a quadruple",
+                 lambda a: _line(cover.devadoss_length(*_points(a))))
+    p.add_argument("points", nargs=4)
+
+    gsub = _command(sub, "group", "tangent group operations").add_subparsers(dest="groupcmd", required=True)
+    p = _command(gsub, "add", "tangent sum (p + q)/(1 - pq)",
+                 lambda a: _line(tangent.add(*map(parse_point, a.operands))))
+    p.add_argument("operands", nargs=2)
+    p = _command(gsub, "mul", "m-fold tangent sum", lambda a: _line(tangent.mul(a.m, parse_point(a.point))))
+    p.add_argument("m", type=int)
+    p.add_argument("point")
+    _command(gsub, "neg", "group inverse", lambda a: _line(tangent.neg(parse_point(a.point)))).add_argument("point")
+    _command(gsub, "torsion", "torsion point tan(pi q)", _torsion).add_argument("q", help="rational a/b")
+
+    p = _command(sub, "cayley", "circle image of a point",
+                 lambda a: _json_line(_reim(tangent.cayley(parse_point(a.point)))))
+    p.add_argument("point")
+    p = _command(sub, "su11", "SU(1,1) form of a det-1 matrix", _su11)
+    p.add_argument("entries", nargs=4, type=float, metavar=("A", "B", "C", "D"))
+
+    p = _command(sub, "albanese", "all triple coordinates", _albanese).add_mutually_exclusive_group(required=True)
+    p.add_argument("--points", dest="points_json", help="configuration as inline JSON")
+    p.add_argument("--input", help="configuration JSON file")
+    p = _command(sub, "metric", "averaged metric at a chart", _metric, h=1e-6)
+    p.add_argument("--chart", required=True, help="comma-separated chart coordinates")
+    _command(sub, "rank-scan", "random rank probe of the Albanese differential", _rank_scan,
+             n=4, trials=100, seed=0, h=1e-6, tol=1e-6)
+    p = _command(sub, "curve-length", "length of a chart path", _curve_length, h=1e-6)
+    p.add_argument("--input", help="CSV of chart rows, or - for stdin")
+
+    psub = _command(sub, "plot", "figure data emitters").add_subparsers(dest="plotcmd", required=True)
+    p = _command(psub, "tree3", "disk figure of a tree with three leaves", _tree3, format="svg")
+    p.add_argument("points", nargs=4)
+    _command(psub, "helix", "circle angle against cover value along one loop", _helix, format="csv", k=256)
+    _command(psub, "kappa-graph", "cover value along one loop", _kappa_graph, format="csv", k=256)
+    return parser
 
 
 # A minus sign followed by a digit, a point or "inf" starts a number (or a
@@ -340,7 +328,7 @@ def main(argv=None, out=None) -> int:
         for key, default in args.settings.items():
             if getattr(args, key) is None:
                 setattr(args, key, cfg.get(key, default))
-        _dispatch(args, out)
+        out.write(args.run(args))
     except ArithmeticError as exc:
         print(f"treemoduli: {exc}", file=sys.stderr)
         return 3

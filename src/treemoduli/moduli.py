@@ -162,10 +162,12 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
 
 
 # The chart layer's one memory bound: a stencil slice takes _BUDGET // (T * dim)
-# charts (1024 at n = 4, 24 at n = 8, one at n = 16) and a curve_length screen
-# _BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16).  At n = 16 a slice peaks
-# at about 160 KiB per chart and a screen at 31 KiB per piece: screens of one piece
-# spend the time in call overhead, while larger slices or screens raise the peak RSS.
+# charts (1024 at n = 4, 24 at n = 8, one at n = 16), a curve_length screen
+# _BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16), and a rank_scan redraw
+# round at most _BUDGET // (open trials * dim) charts per trial (85 for a full
+# block at n = 8).  At n = 16 a slice peaks at about 160 KiB per chart and a
+# screen at 31 KiB per piece: screens of one piece spend the time in call
+# overhead, while larger slices or screens raise the peak RSS.
 _BUDGET = 8192
 
 
@@ -376,8 +378,10 @@ def rank_scan(
     A chart of rule 1 or 2 is redrawn, so a stream stops at its first try
     of rule 0 or 3; the earliest such try of rule 3, then the lowest trial,
     raises.  Round 0 is the first draw; each later round draws as many
-    charts ahead per open trial as it has tried, up to reject_cap tries,
-    and a stream is not read after its chart is accepted.
+    charts ahead per open trial as it has tried, up to reject_cap tries
+    and to _BUDGET // (open trials * dim) charts, and a stream is not read
+    after its chart is accepted.  The outcome does not depend on the round
+    sizes, as every open trial has made the same number of tries.
     """
     n, trials = _integer(n, "n"), _integer(trials, "trials")
     seed, reject_cap = _integer(seed, "seed"), _integer(reject_cap, "reject_cap")
@@ -422,7 +426,7 @@ def rank_scan(
                 rows = rows[got != 0]
                 if not len(rows) or tries == reject_cap:
                     break
-                ahead = min(tries, reject_cap - tries)
+                ahead = min(tries, reject_cap - tries, max(1, _BUDGET // (len(rows) * dim)))
                 state[rows], V = draw(state[rows], inc[rows], ahead)
                 rule, tries = _refusals(V, h)[0], tries + ahead
             if len(rows):

@@ -118,9 +118,13 @@ class ProjPoint(_Value):
     The stored pair is rescaled by an exact power of two so that
     max(|a|, |b|) lies in [1, 2), and the overall sign is fixed so that
     the first nonzero entry of (b, a) is positive.  Power-of-two scaling
-    is lossless, so a pair such as [exp(g) : 1 + exp(g)] keeps the tiny
-    gap between its entries exactly; the max = 1 canonical form, used
-    for equality testing, is available through :meth:`canonical`.
+    is lossless while the smaller entry is at least 2**-1022 times the
+    larger, so a pair such as [exp(g) : 1 + exp(g)] keeps the tiny gap
+    between its entries exactly.  Below that the smaller entry becomes
+    subnormal and loses bits, and below about 2**-1074 times the larger
+    it becomes 0: ProjPoint(1e308, 1e-308) is the point at infinity and
+    ProjPoint(1e-300, 1e300) is 0.  The max = 1 canonical form, used for
+    equality testing, is available through :meth:`canonical`.
     """
 
     __slots__ = ("a", "b")
@@ -131,9 +135,7 @@ class ProjPoint(_Value):
             raise ValueError("homogeneous pair must be finite")
         if a == 0.0 and b == 0.0:
             raise ValueError("[0 : 0] is not a projective point")
-        a, b = _canon(a, b)
-        _set_a(self, a)
-        _set_b(self, b)
+        super().__init__(*_canon(a, b))
 
     @classmethod
     def from_affine(cls, x: float) -> "ProjPoint":
@@ -203,10 +205,6 @@ class ProjPoint(_Value):
                 raise ValueError(f"homogeneous form needs two entries, got {obj!r}")
             return cls(_finite_number(obj[0]), _finite_number(obj[1]))
         return cls.from_affine(_finite_number(obj))
-
-
-# The slots' own setters: cheaper than object.__setattr__ in the hottest constructor.
-_set_a, _set_b = ProjPoint.a.__set__, ProjPoint.b.__set__
 
 
 def _finite_number(v) -> float:

@@ -141,37 +141,49 @@ def test_determinism_across_processes():
     assert proc.stdout == inproc
 
 
-def test_golden_outputs():
-    assert run_ok("crossratio", "0", "0.5", "1", "inf") == (
-        GOLDEN / "crossratio.txt"
-    ).read_text()
-    assert run_ok("group", "add", "1", "1") == (GOLDEN / "group_add.txt").read_text()
-    assert run_ok("plot", "helix", "--k", "12") == (
-        GOLDEN / "plot_helix.csv"
-    ).read_text()
+# Every command's output, pinned byte for byte: (argv, golden file, exit code).
+# A failing command compares its stderr line with the file and prints nothing.
+GOLDEN_TABLE = [
+    (("crossratio", "0", "0.5", "1", "inf"), "crossratio.txt", 0),
+    (("kappa", "-0.3"), "kappa.txt", 0),
+    (("gamma", "0.1", "1/3", "2", "-5"), "gamma.txt", 0),
+    (("group", "add", "1", "1"), "group_add.txt", 0),
+    (("group", "mul", "5", "0.3"), "group_mul.txt", 0),
+    (("group", "neg", "1/3"), "group_neg.txt", 0),
+    (("group", "torsion", "3/8"), "group_torsion.txt", 0),
+    (("cayley", "0.3"), "cayley.txt", 0),
+    (("su11", "2", "1", "1", "1"), "su11.txt", 0),
+    (("plot", "tree3", "0", "0.3", "0.7", "inf"), "plot_tree3.svg", 0),
+    (("plot", "tree3", "0", "0.3", "0.7", "inf", "--format", "csv"), "plot_tree3.csv", 0),
+    (("plot", "helix", "--k", "12"), "plot_helix.csv", 0),
     # finite-difference chart path: rank scans, a metric, and a bisected seam crossing
-    table = [
-        (("rank-scan", "--n", "5", "--trials", "200", "--seed", "109"), "rank_scan_n5_seed109.txt"),
-        (("rank-scan", "--n", "8", "--trials", "200", "--seed", "0"), "rank_scan_n8_seed0.txt"),
-        (("metric", "--chart", "0.1,0.2,0.35,-4,9"), "metric_n7.txt"),
-        (("curve-length", "--input", str(GOLDEN / "seam_path.csv")), "curve_length_seam.txt"),
-    ]
+    (("rank-scan", "--n", "5", "--trials", "200", "--seed", "109"), "rank_scan_n5_seed109.txt", 0),
+    (("rank-scan", "--n", "8", "--trials", "200", "--seed", "0"), "rank_scan_n8_seed0.txt", 0),
+    (("metric", "--chart", "0.1,0.2,0.35,-4,9"), "metric_n7.txt", 0),
+    (("curve-length", "--input", str(GOLDEN / "seam_path.csv")), "curve_length_seam.txt", 0),
     # the same at the shapes the benchmark runs: a 300-segment n = 16 path with
     # seam crossings, an n = 16 metric and a scan with a counterexample
-    table += [
-        (("curve-length", "--input", str(GOLDEN / "bench_path_n16.csv")), "curve_length_bench_n16.txt"),
-        (("metric", "--chart", "0.15,-1.35,2.25,0.45,-0.65,3.05,1.65,-2.15,0.75,2.65,-0.25,1.25,-1.75,3.45"),
-         "metric_n16.txt"),
-        (("rank-scan", "--n", "7", "--trials", "200", "--seed", "3"), "rank_scan_n7_seed3.txt"),
-    ]
+    (("curve-length", "--input", str(GOLDEN / "bench_path_n16.csv")), "curve_length_bench_n16.txt", 0),
+    (("metric", "--chart", "0.15,-1.35,2.25,0.45,-0.65,3.05,1.65,-2.15,0.75,2.65,-0.25,1.25,-1.75,3.45"),
+     "metric_n16.txt", 0),
+    (("rank-scan", "--n", "7", "--trials", "200", "--seed", "3"), "rank_scan_n7_seed3.txt", 0),
     # exact path: albanese on extreme homogeneous pairs, and the loop emitters
-    table += [
-        (("albanese", "--input", str(GOLDEN / "albanese_n12.json")), "albanese_n12.txt"),
-        (("plot", "helix", "--format", "svg", "--k", "257"), "plot_helix_k257.svg"),
-        (("plot", "kappa-graph", "--k", "257"), "plot_kappa_graph_k257.csv"),
-    ]
-    for argv, name in table:
-        assert run_ok(*argv) == (GOLDEN / name).read_text(), name
+    (("albanese", "--input", str(GOLDEN / "albanese_n12.json")), "albanese_n12.txt", 0),
+    (("plot", "helix", "--format", "svg", "--k", "257"), "plot_helix_k257.svg", 0),
+    (("plot", "kappa-graph", "--k", "257"), "plot_kappa_graph_k257.csv", 0),
+    (("plot", "kappa-graph", "--format", "svg", "--k", "257"), "plot_kappa_graph_k257.svg", 0),
+    # an input error and a numerical one
+    (("crossratio", "0", "abc", "1", "2"), "error_bad_point.txt", 2),
+    (("crossratio", "0", "0", "0", "1"), "error_indeterminate.txt", 3),
+]
+
+
+@pytest.mark.parametrize("argv, name, code", GOLDEN_TABLE, ids=[name for _, name, _ in GOLDEN_TABLE])
+def test_golden_outputs(argv, name, code, capsys):
+    got, out = run(*argv)
+    err = capsys.readouterr().err
+    want = (GOLDEN / name).read_text()
+    assert (got, out, err) == ((0, want, "") if code == 0 else (code, "", want))
 
 
 def test_json_round_trip():
@@ -767,8 +779,10 @@ def test_package_import_defers_the_chart_layer():
     assert proc.returncode == 0, proc.stderr
 
 
-# Loads perfbench/tracer.py as the benchmark's worker does, from its own directory,
-# and traces albanese and rank-scan after one untraced albanese run.
+# Loads perfbench/tracer.py as the benchmark's worker does, from its own directory.
+# One untraced run builds the cached parser first, so a command that held a
+# function as a value at build time would call past the tracer's wrapper.
+# Then every span these commands reach must count calls.
 TRACER_CHILD = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
@@ -776,18 +790,35 @@ import tracer
 import treemoduli.cli as cli
 albanese = ["albanese", "--points", '{"n": 5, "points": [0, 0.2, 0.4, 0.6, 1, "inf"]}']
 assert cli.main(albanese, out=io.StringIO()) == 0
+commands = [
+    ["crossratio", "0", "0.5", "1", "inf"],
+    ["kappa", "0.3"],
+    ["plot", "helix", "--format", "svg", "--k", "16"],
+    ["plot", "kappa-graph", "--k", "16"],
+    ["metric", "--chart", "0.3,0.5"],
+    ["curve-length", "--input", sys.argv[2]],
+    ["rank-scan", "--n", "4", "--trials", "16"],
+    albanese,
+]
 with tracer.Tracer() as trace:
-    assert cli.main(albanese, out=io.StringIO()) == 0
-    assert cli.main(["rank-scan", "--n", "4", "--trials", "16"], out=io.StringIO()) == 0
-calls = {name: trace.stats[name][tracer.CALLS] for name in ("moduli.albanese", "moduli.svd")}
+    for argv in commands:
+        assert cli.main(argv, out=io.StringIO()) == 0, argv
+reached = [
+    "cli.main", "projline.cross_ratio", "cover.circle_cover",
+    "plots.helix_samples", "plots.helix_svg", "plots.graph_samples", "plots.graph_csv",
+    "moduli.albanese", "moduli.albanese_jacobian", "moduli.metric_matrix",
+    "moduli.curve_length", "moduli.rank_scan", "moduli.svd",
+]
+calls = {name: trace.stats[name][tracer.CALLS] for name in reached}
 assert all(calls.values()), calls
+assert calls["cli.main"] == len(commands), calls
 """
 
 
 def test_benchmark_tracer_sees_the_layers():
     # -B: the child writes no bytecode cache into perfbench/
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    proc = run_child("-B", "-c", TRACER_CHILD, str(perfbench))
+    proc = run_child("-B", "-c", TRACER_CHILD, str(perfbench), str(GOLDEN / "seam_path.csv"))
     assert proc.returncode == 0, proc.stderr
 
 

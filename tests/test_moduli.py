@@ -1660,6 +1660,19 @@ def test_rank_scan_cap_failure_draws_only_the_failing_block(monkeypatch):
     assert sum(tries for _, tries in draws) == 1000
 
 
+def test_rank_scan_redraw_memory_is_flat_in_the_reject_cap():
+    # At h = 0.5 every chart is refused, so the redraw rounds of the one block
+    # run to the cap.  A round draws at most _BUDGET // (16 * 6) charts per
+    # stream; when it drew as many as it had tried, the peak grew with the cap
+    # (24 MiB at 1000, 96 MiB at 4000).  Both peaks are about 4.2 MiB now.
+    def scan(cap):
+        with pytest.raises(SeamTooClose, match=rf"^trial 0: no draw .* in {cap} tries$"):
+            rank_scan(8, 16, h=0.5, reject_cap=cap)
+
+    low, high = peak_bytes(scan, 1000), peak_bytes(scan, 4000)
+    assert high < 8 * 2**20 and high <= 1.5 * low, (low, high)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

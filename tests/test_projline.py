@@ -73,6 +73,17 @@ def test_canonical_pair_has_no_negative_zero():
     assert ProjPoint(-0.0, 1.0).to_json() == 0.0 and str(ProjPoint(-0.0, 1.0).to_json()) == "0.0"
 
 
+def test_power_of_two_scaling_is_exact_down_to_the_normal_range():
+    # the smaller entry keeps every bit while it is at least 2**-1022 times the larger
+    for small in (2.0**-1022, 3.0 * 2.0**-1021, 1.0 + 2.0**-52):
+        assert ProjPoint(small * 2.0**40, 2.0**40)._fields() == (small, 1.0)
+    # past it the rescaled entry underflows: a finite pair becomes infinity or 0
+    p = ProjPoint(1e308, 1e-308)
+    assert (p.a, p.b) == (1e308 * 2.0**-1023, 0.0) and p.is_infinite and p == INFINITY
+    q = ProjPoint(1e-300, 1e300)
+    assert q.a == 0.0 and q.affine == 0.0 and q == ZERO
+
+
 def test_affine_round_trip_exact():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-1e6, 1e6, size=100):
