@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                  lambda a: _json_line(_reim(tangent.cayley(parse_point(a.point)))))
     p.add_argument("point")
     p = _command(sub, "su11", "SU(1,1) form of a det-1 matrix", _su11)
-    p.add_argument("entries", nargs=4, type=float, metavar=("A", "B", "C", "D"))
+    p.add_argument("entries", nargs=4, type=float, metavar="ENTRY", help="a b c d of the matrix [[a, b], [c, d]]")
 
     p = _command(sub, "albanese", "all triple coordinates", _albanese).add_mutually_exclusive_group(required=True)
     p.add_argument("--points", dest="points_json", help="configuration as inline JSON")

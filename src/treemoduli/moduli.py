@@ -59,7 +59,9 @@ def _table(n: int) -> tuple[np.ndarray, ...]:
     (T, n - 2) Jacobian.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K)
     gather table is the row, in a chart's value table [0, u_1 .. u_{n-2}, 1, 1,
     u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of that slot's point of
-    triple idx[r, k], with point r + 1 moved by +h or -h.  Read-only, cached
+    triple idx[r, k], with point r + 1 moved by +h or -h.  bk[idx] is stored
+    at the (2, n - 2, K) shape of one chart's stencil ratios, both signs, so
+    the stencil's products by it need no iteration buffer.  Read-only, cached
     for the last 8 n; ValueError above n = _MAX_N, before anything is allocated.
     """
     if n > _MAX_N:
@@ -70,10 +72,23 @@ def _table(n: int) -> tuple[np.ndarray, ...]:
     idx = np.array([np.flatnonzero((trip == p).any(axis=1)) for p in pts])
     slots = trip[idx].transpose(2, 0, 1)[:, None]
     moved = n + pts[:, None] + np.arange(2)[:, None, None] * (n - 2)
-    table = trip, np.where(slots == pts[:, None], moved, slots), bk, bk[idx], (idx * (n - 2) + pts[:, None] - 1).ravel()
+    bk_idx = np.repeat(bk[idx][None], 2, axis=0)
+    table = trip, np.where(slots == pts[:, None], moved, slots), bk, bk_idx, (idx * (n - 2) + pts[:, None] - 1).ravel()
     for a in table:
         a.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=8)
+def _take_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Private copies of the index rows of _table(n) for take: trip.T (3, T) and gather.
+
+    ndarray.take copies an index that is read-only or not C-contiguous on
+    every call, and the _table arrays are read-only; these copies are
+    C-contiguous and writeable, and nothing writes into them.
+    """
+    trip, gather, _, _, _ = _table(n)
+    return trip.T.copy(), gather.copy()
 
 
 def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -82,6 +97,8 @@ def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk
     (0 - a_i)(a_j b_k - a_k) / ((0 - a_j)(a_i b_k - a_k)): projline._cross with
     its exact products by 1.0 dropped and every other operation in its order,
     so its num / den bit for bit.  In place: at most four result-sized arrays.
+    i, j and k go to take as they are: pass C-contiguous, writeable indices
+    (_take_index), or take copies each of them first.
     """
     x13 = a.take(i, axis=-1) * bk
     ak = a.take(k, axis=-1)
@@ -90,7 +107,7 @@ def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk
     den = np.multiply(0.0 - aj, x13, out=x13)
     aj *= bk
     aj -= ak
-    del ak  # take copies its read-only index, so one more array is alive during each take
+    del ak  # before the last take: four result-sized arrays at most
     num = np.multiply((0.0 - a).take(i, axis=-1), aj, out=aj)
     return np.divide(num, den, out=num)
 
@@ -102,9 +119,9 @@ def _chart_ratios(u: np.ndarray) -> np.ndarray:
     x_m = [u_m : 1], x_{n-1} = [1 : 1] and x_n = [1 : 0]; only the last
     point of a triple can be x_n.  Leading axes of u are batch axes.
     """
-    trip, _, bk, _, _ = _table(u.shape[-1] + 2)
+    n = u.shape[-1] + 2
     a = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u, np.ones(u.shape[:-1] + (2,))], axis=-1)
-    return _gauge_ratios(a, *trip.T, bk)
+    return _gauge_ratios(a, *_take_index(n)[0], _table(n)[2])
 
 
 def _cover_values(rho: np.ndarray) -> np.ndarray:
@@ -120,12 +137,18 @@ def _cover_values(rho: np.ndarray) -> np.ndarray:
 
 
 def _seam_margin(rho: np.ndarray) -> np.ndarray:
-    """Smallest chordal distance from any triple ratio on the last axis to {0, 1, infinity}."""
+    """Smallest chordal distance from any triple ratio on the last axis to {0, 1, infinity}.
+
+    min(|rho| / s, |rho - 1| / (s sqrt 2), 1 / s) with s = hypot(rho, 1), in
+    place in three arrays of the shape of rho; rho is not written.
+    """
     s = np.hypot(rho, 1.0)
-    d0 = np.abs(rho) / s
-    d1 = np.abs(rho - 1.0) / (s * math.sqrt(2.0))
-    dinf = 1.0 / s
-    return np.min(np.minimum(np.minimum(d0, d1), dinf), axis=-1)
+    d = np.subtract(rho, 1.0)
+    t = np.multiply(s, math.sqrt(2.0))
+    d = np.divide(np.abs(d, out=d), t, out=d)  # d1
+    t = np.divide(np.abs(rho, out=t), s, out=t)  # d0
+    d = np.minimum(t, d, out=d)
+    return np.minimum(d, np.divide(1.0, s, out=s), out=d).min(axis=-1)
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
@@ -163,16 +186,18 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
 
 # The chart layer's one memory bound: a stencil slice takes _BUDGET // (T * dim)
 # charts (1024 at n = 4, 24 at n = 8, one at n = 16), a curve_length screen
-# _BUDGET // (4 T) pieces (512 at n = 4, 3 at n = 16), and a rank_scan redraw
-# round at most _BUDGET // (open trials * dim) charts per trial (85 for a full
-# block at n = 8).  At n = 16 a slice peaks at about 160 KiB per chart and a
-# screen at 31 KiB per piece: screens of one piece spend the time in call
-# overhead, while larger slices or screens raise the peak RSS.
+# _BUDGET // (4 T) pieces, but at least _BUDGET // 512 (512 at n = 4, 36 at
+# n = 8, 16 from n = 11 on), and a rank_scan redraw round at most
+# _BUDGET // (open trials * dim) charts per trial (85 for a full block at
+# n = 8).  At n = 16 a slice peaks at about 160 KiB per chart.  A screen
+# holds only its pieces' ratios and metrics, as its stencil call hands the
+# dense Jacobians to _pullback one slice at a time, so at n = 16 the floor
+# of 16 pieces cuts the calls per piece without raising the peak RSS.
 _BUDGET = 8192
 
 
-def _central_jacobians(U: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack.
+def _central_jacobians(U: np.ndarray, h: float, reduce=None) -> np.ndarray:
+    """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack, or reduced.
 
     Column r moves coordinate r by +h and -h and evaluates only the
     C(n - 1, 2) triples that contain its point.  Slices of _BUDGET // (T * dim)
@@ -181,17 +206,28 @@ def _central_jacobians(U: np.ndarray, h: float) -> np.ndarray:
     cover.  Each entry is the same float operations as perturbing one chart
     and one coordinate at a time, and every other entry is an exact zero, as
     there.  Each difference is wrapped into the lift nearest the base value.
-    U holds only rows that _refusals passes.
+    A slice's dense (charts, T, dim) Jacobians go to reduce, when it is given,
+    before the next slice is computed, and the result stacks what it returns
+    per chart: reduce=_pullback gives an (m, dim, dim) stack of metrics while
+    no more than one slice's Jacobians is held.  U holds only rows that
+    _refusals passes.
     """
     m, dim = U.shape
-    trip, gather, _, bk_idx, flat = _table(dim + 2)
-    jac, step = np.zeros((m, len(trip) * dim)), max(1, _BUDGET // (len(trip) * dim))
-    for s in range(0, m, step):
+    trip, _, _, bk_idx, flat = _table(dim + 2)
+    gather, T = _take_index(dim + 2)[1], len(trip)
+    step = max(1, _BUDGET // (T * dim))
+    jac, out = np.zeros((min(m, step), T * dim)), None
+    for s in range(0, max(m, 1), step):  # no charts: one empty slice gives the result's shape
         V = U[s:s + step]
         a = np.concatenate([np.zeros((len(V), 1)), V, np.ones((len(V), 2)), V + h, V - h], axis=1)
         t = _cover_values(_gauge_ratios(a, *gather, bk_idx))  # (charts, sign, dim, K)
-        jac[s:s + step, flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), -1)
-    return jac.reshape(m, len(trip), dim)
+        jac[:len(V), flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), len(flat))
+        got = jac[:len(V)].reshape(len(V), T, dim)
+        got = got if reduce is None else reduce(got)
+        if out is None:
+            out = np.empty((m,) + got.shape[1:])
+        out[s:s + step] = got
+    return out
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:
@@ -287,7 +323,8 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     An InvalidChart is never bisected.  The pieces of one split depth are
     screened in blocks, one _refusals screen of the midpoints and one of the
     fallback points at the cap per block, and a block's accepted charts get
-    one stacked stencil, pullback and quadratic form.
+    one stencil call, which hands each slice's Jacobians to _pullback, and
+    one stacked quadratic form.
     Each piece carries its _refusals rule, seam margin and chart; only the
     first failing piece in path order has its error built and raised.
     """
@@ -308,7 +345,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
     P = np.array(pts)
     dim = P.shape[1]
     T = math.comb(dim + 2, 3)
-    block = max(1, _BUDGET // (4 * T))  # pieces per screen
+    block = max(1, _BUDGET // (4 * T), _BUDGET // 512)  # pieces per screen
     f = np.array([0.25, 0.75, 0.1, 0.9, 0.0, 1.0])  # fallback points, tried in this order
 
     def lengths(A: np.ndarray, B: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
@@ -335,7 +372,7 @@ def curve_length(samples, h: float = 1e-6, max_splits: int = 12) -> float:
                 i, k = cut[j], k[j]
                 R[i], M[i], C[i] = rule[j, k], margin[j, k], F[j, k]
             ok = live[R[live] == 0]
-            d, G = du[ok, None], _pullback(_central_jacobians(C[ok], h))
+            d, G = du[ok, None], _central_jacobians(C[ok], h, _pullback)
             L[ok] = np.sqrt(np.maximum(d @ G @ d.swapaxes(-1, -2), 0.0))[:, 0, 0]
             if len(cut) and depth > 0:
                 ends = np.stack([A[cut], C[cut], B[cut]], axis=1)  # halves in path order

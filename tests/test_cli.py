@@ -93,6 +93,16 @@ def test_su11_command():
     assert out["v"] == [0.0, 0.5]
 
 
+def test_su11_usage_error_and_help_exit_without_traceback():
+    # argparse cannot format a tuple metavar on a positional in the usage line
+    proc = run_child("-m", "treemoduli", "su11", "1", "2", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    proc = run_child("-m", "treemoduli", "su11", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "su11 [-h] ENTRY ENTRY ENTRY ENTRY" in proc.stdout
+
+
 def test_albanese_command():
     cfg = json.dumps({"n": 4, "points": [0, 0.3, 0.7, 1, "inf"]})
     out = json.loads(run_ok("albanese", "--points", cfg))

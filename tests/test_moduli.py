@@ -45,6 +45,7 @@ from treemoduli.moduli import (
     _refusals,
     _seam_margin,
     _table,
+    _take_index,
     _wrap,
 )
 from treemoduli._streams import pcg64_doubles, pcg64_streams
@@ -578,6 +579,70 @@ def test_gauge_ratios_are_cross_num_over_den_bit_for_bit():
     assert np.isnan(got).any() and np.isinf(got).any() and np.signbit(got[got == 0.0]).any()
 
 
+def seam_margin_reference(rho):
+    """The seam margin out of place, one new array per operation: _seam_margin's float operations."""
+    s = np.hypot(rho, 1.0)
+    d0 = np.abs(rho) / s
+    d1 = np.abs(rho - 1.0) / (s * math.sqrt(2.0))
+    dinf = 1.0 / s
+    return np.min(np.minimum(np.minimum(d0, d1), dinf), axis=-1)
+
+
+def test_in_place_seam_margin_is_the_reference_bit_for_bit():
+    # Each special ratio alone, every ordered pair of them, and random
+    # (..., T) stacks that mix them with ordinary ratios; the argument is
+    # not written.
+    v = [0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 2.0**-1060,
+         np.nextafter(1.0, 2.0), 0.3, -2.5]
+    rng = np.random.default_rng(14)
+    mixed = np.where(rng.random((3, 40, 560)) < 0.1, rng.choice(v, (3, 40, 560)), rng.standard_cauchy((3, 40, 560)))
+    for rho in (np.array(v)[:, None], np.array(np.meshgrid(v, v)).reshape(2, -1).T, mixed, np.empty((0, 5))):
+        before = rho.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):  # inf / inf at infinite ratios
+            want, got = seam_margin_reference(rho), _seam_margin(rho)
+        assert got.tobytes() == want.tobytes()
+        assert rho.tobytes() == before
+
+
+def test_in_place_seam_margin_holds_three_arrays_of_its_argument_size():
+    rho = np.random.default_rng(15).standard_cauchy((64, 560))
+    _seam_margin(rho)
+    tracemalloc.start()
+    try:
+        _seam_margin(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * rho.nbytes  # the out-of-place reference peaks at 6
+
+
+def test_gauge_ratios_take_contiguous_writeable_indices(monkeypatch):
+    # ndarray.take copies an index that is read-only or not C-contiguous on
+    # every call, and every _table array is read-only: the screen and the
+    # stencil pass _gauge_ratios the private copies of _take_index.
+    import treemoduli.moduli as mod
+
+    seen = []
+    ratios = mod._gauge_ratios
+
+    def recording(a, i, j, k, bk):
+        seen.extend((i, j, k))
+        return ratios(a, i, j, k, bk)
+
+    rng = np.random.default_rng(16)
+    charts = {n: np.array([random_chart(rng, n).u for _ in range(3)]) for n in (3, 4, 16)}
+    monkeypatch.setattr(mod, "_gauge_ratios", recording)
+    for n, U in charts.items():
+        mod._chart_ratios(U)
+        mod._central_jacobians(U, 1e-6)
+        trip, gather = _table(n)[:2]
+        rows, index = _take_index(n)
+        assert rows.tobytes() == trip.T.tobytes() and index.tobytes() == gather.tobytes()
+    assert len(seen) == 3 * (3 + 1 + 1 + 3)  # a screen per n, stencil slices of 3, 3 and 1 charts
+    for index in seen:
+        assert index.flags.c_contiguous and index.flags.writeable
+
+
 def test_stacked_central_jacobians_match_per_chart_loop():
     rng = np.random.default_rng(11)
     for n in (3, 4, 8, 12, 16):
@@ -600,10 +665,10 @@ def test_gather_table_moves_each_point_in_its_own_slot():
         dim, K = n - 2, math.comb(n - 1, 2)
         assert [tuple(t) for t in trip] == triples(n)
         assert list(bk) == [float(t[2] != n) for t in trip]  # 0 at the infinity anchor
-        assert gather.shape == (3, 2, dim, K) and bk_idx.shape == (dim, K) and flat.shape == (dim * K,)
+        assert gather.shape == (3, 2, dim, K) and bk_idx.shape == (2, dim, K) and flat.shape == (dim * K,)
         idx, col = np.divmod(flat.reshape(dim, K), dim)  # (triple, coordinate) in a flat (T, dim) Jacobian
         assert (col == np.arange(dim)[:, None]).all()
-        assert bk_idx.tobytes() == bk[idx].tobytes()
+        assert bk_idx.tobytes() == np.stack([bk[idx]] * 2).tobytes()  # both signs
         for r in range(dim):
             assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
             for sign in range(2):
@@ -1020,9 +1085,9 @@ def test_curve_length_stencils_keep_clear_of_seams(monkeypatch):
     charts = []
     stencil = mod._central_jacobians
 
-    def recording(U, h):
+    def recording(U, h, reduce=None):
         charts.extend(map(tuple, U))
-        return stencil(U, h)
+        return stencil(U, h, reduce)
 
     monkeypatch.setattr(mod, "_central_jacobians", recording)
     rng = np.random.default_rng(43)
@@ -1245,7 +1310,9 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
     # block (numpy 2.4): 320 _refusals calls on the benchmark-shaped n = 16
     # path, where a stencil block is one chart, and tracemalloc peaks of
     # 440 KiB there and 975 KiB at n = 4 over 1000 segments.  A screen now
-    # takes 3 pieces at n = 16, and its stencil evaluates one chart per slice.
+    # takes 16 pieces at n = 16, 29 screens for the path's 320 pieces over
+    # all split depths, and its stencil evaluates one chart per slice and
+    # hands each slice's Jacobian to _pullback.
     import treemoduli.moduli as mod
 
     rows = bench_path(16)
@@ -1268,7 +1335,7 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
     monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
     monkeypatch.setattr(mod, "_cover_values", counting_cover)
     curve_length(rows)
-    assert len(screened) <= 0.4 * 320
+    assert len(screened) == 29
     assert max(stencilled) > 1 and max(sliced) == 1 and sum(sliced) == sum(stencilled)
     monkeypatch.undo()
     assert peak_bytes(curve_length, rows) <= 1.15 * 450391
