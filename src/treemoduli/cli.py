@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -61,15 +62,58 @@ def fmt_point(p: ProjPoint) -> str:
     return _g12(x)
 
 
-def _round12(obj):
-    """obj with its floats rounded to 12 digits; calls itself on containers only, so ints cost no call."""
-    if isinstance(obj, (list, tuple)):
-        return [float(format(v, ".12g")) if isinstance(v, float) else v if isinstance(v, int) else _round12(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+# Below the smallest normal double, a 12-digit text can hold more digits than
+# the double it parses to, whose repr is then shorter.
+_MIN_NORMAL = sys.float_info.min
+
+
+def _num12(v: float) -> str:
+    """The JSON number of v at 12 significant digits: the text of json.dumps(float(format(v, ".12g"))).
+
+    Where a normal float below 1e12 has a 12-digit text with a point or a
+    negative exponent, the double it parses to has that text as its repr,
+    so it is returned as it is; a text of digits only gets repr's ".0".  The
+    rest take the round trip: negative integers and -0, subnormals,
+    |v| >= 1e12 (where .12g writes "e+" and repr stays positional up to
+    1e16), nan and +-inf.
+    """
+    s = format(v, ".12g")
+    if "." in s or "e-" in s:
+        if _MIN_NORMAL <= abs(v) < 1e12:
+            return s
+    elif s.isdigit():
+        return s + ".0"
+    return json.dumps(float(s))
+
+
+# Rounded to 12 digits, a float below this stays below 1.
+_BELOW_ONE = 0.999999999999
+
+
+def _unit_floats(seq) -> bool:
+    """Whether seq holds only floats in [_MIN_NORMAL, _BELOW_ONE), none of them nan.
+
+    The 12-digit text of each has a point or a negative exponent, which
+    _num12 returns as it is: one % format can write them all.
+    """
+    return (set(map(type, seq)) == {float} and _MIN_NORMAL <= min(seq) and max(seq) < _BELOW_ONE
+            and not math.isnan(sum(seq)))
+
+
+def _json12(obj) -> str:
+    """json.dumps(obj) with every float (float subclasses too) written by _num12.
+
+    Lists and tuples become JSON arrays, each one join; dict keys are strings.
+    """
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    return obj
+        return _num12(obj)
+    if isinstance(obj, (list, tuple)):
+        if _unit_floats(obj):  # albanese's values
+            return "[" + ", ".join(["%.12g"] * len(obj)) % tuple(obj) + "]"
+        return "[" + ", ".join([_num12(v) if isinstance(v, float) else _json12(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([json.dumps(k) + ": " + _json12(v) for k, v in obj.items()]) + "}"
+    return json.dumps(obj)
 
 
 # Every setting a command can read, with its type and accepted values: a flag
@@ -173,7 +217,7 @@ def _line(p: ProjPoint) -> str:
 
 
 def _json_line(obj) -> str:
-    return json.dumps(_round12(obj)) + "\n"
+    return _json12(obj) + "\n"
 
 
 def _reim(z: complex) -> list[float]:
@@ -209,9 +253,12 @@ def _albanese(args) -> str:
     except RecursionError:
         raise ParseError("configuration JSON is nested too deeply") from None
     cfg = configuration.Configuration.from_json(doc)
-    values = _round12(configuration.albanese(cfg))
-    # triples hold ints only, so they are not rounded
-    return json.dumps({**_round12(cfg.to_json()), "triples": configuration.triples(cfg.n), "values": values}) + "\n"
+    values = _json12(configuration.albanese(cfg))
+    # the triples hold ints only: one % format writes them all
+    flat = tuple(itertools.chain.from_iterable(configuration.triples(cfg.n)))
+    triples = ", ".join(["[%d, %d, %d]"] * (len(flat) // 3)) % flat
+    return '{"n": %d, "points": %s, "triples": [%s], "values": %s}\n' % (
+        cfg.n, _json12(cfg.to_json()["points"]), triples, values)
 
 
 def _metric(args) -> str:

@@ -216,18 +216,20 @@ def _central_jacobians(U: np.ndarray, h: float, reduce=None) -> np.ndarray:
     trip, _, _, bk_idx, flat = _table(dim + 2)
     gather, T = _take_index(dim + 2)[1], len(trip)
     step = max(1, _BUDGET // (T * dim))
-    jac, out = np.zeros((min(m, step), T * dim)), None
+    # without reduce each slice is written straight into the result
+    jac, out = np.zeros((m if reduce is None else min(m, step), T * dim)), None
     for s in range(0, max(m, 1), step):  # no charts: one empty slice gives the result's shape
         V = U[s:s + step]
         a = np.concatenate([np.zeros((len(V), 1)), V, np.ones((len(V), 2)), V + h, V - h], axis=1)
         t = _cover_values(_gauge_ratios(a, *gather, bk_idx))  # (charts, sign, dim, K)
-        jac[:len(V), flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), len(flat))
-        got = jac[:len(V)].reshape(len(V), T, dim)
-        got = got if reduce is None else reduce(got)
-        if out is None:
-            out = np.empty((m,) + got.shape[1:])
-        out[s:s + step] = got
-    return out
+        rows = jac[s:s + step] if reduce is None else jac[:len(V)]
+        rows[:, flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), len(flat))
+        if reduce is not None:
+            got = reduce(rows.reshape(len(V), T, dim))
+            if out is None:
+                out = np.empty((m,) + got.shape[1:])
+            out[s:s + step] = got
+    return jac.reshape(m, T, dim) if reduce is None else out
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:

@@ -184,17 +184,11 @@ def arcs_csv(arcs) -> str:
 
 
 def helix_csv(samples) -> str:
-    lines = ["point_angle,cover_angle"]
-    for s, t in samples:
-        lines.append(f"{s:.9g},{t:.9g}")
-    return "\n".join(lines) + "\n"
+    return "point_angle,cover_angle\n" + "".join(["%.9g,%.9g\n" % st for st in samples])
 
 
 def graph_csv(samples) -> str:
-    lines = ["loop_param,x,cover_value"]
-    for s, x, t in samples:
-        lines.append(f"{s:.9g},{x:.9g},{t:.9g}")
-    return "\n".join(lines) + "\n"
+    return "loop_param,x,cover_value\n" + "".join(["%.9g,%.9g,%.9g\n" % sxt for sxt in samples])
 
 
 def _to_px(p: tuple[float, float]) -> tuple[float, float]:
@@ -269,7 +263,7 @@ def _torus_svg(points: list[tuple[float, float]]) -> str:
     pairs = enumerate(itertools.pairwise(points), start=1)
     wraps = [j for j, (p, q) in pairs if abs(q[0] - p[0]) > 0.5 or abs(q[1] - p[1]) > 0.5]
     runs = [points[a:b] for a, b in zip([0, *wraps], [*wraps, len(points)]) if b - a > 1]
-    xys = (" ".join(f"{20 + 960 * x:.9g},{980 - 960 * y:.9g}" for x, y in run) for run in runs)
+    xys = (" ".join(["%.9g,%.9g" % (20 + 960 * x, 980 - 960 * y) for x, y in run]) for run in runs)
     polylines = (f'<polyline points="{xy}" stroke="black" fill="none"/>' for xy in xys)
     rect = '<rect x="20" y="20" width="960" height="960" fill="none" stroke="black"/>\n'
     return _svg(rect + "\n".join(polylines) + "\n")

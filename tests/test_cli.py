@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -10,9 +11,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import treemoduli
-from treemoduli.cli import ParseError, main, parse_point
+from treemoduli.cli import ParseError, _json12, _num12, main, parse_point
 from treemoduli.moduli import rank_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,6 +197,115 @@ def test_golden_outputs(argv, name, code, capsys):
     err = capsys.readouterr().err
     want = (GOLDEN / name).read_text()
     assert (got, out, err) == ((0, want, "") if code == 0 else (code, "", want))
+
+
+# sha256 of stdout at the shapes the exact benchmark runs, recorded before
+# the emitters wrote each value once; the goldens stop at albanese n = 12 and k = 257.
+BENCH_SHAPED_DIGESTS = {
+    "albanese": "c6d81bcbff677e732784d87916501a911e2c6e4a352d11e86ed863bd7b1c9713",
+    "helix": "458a52ac0d8f1d7d215c0d93a034e5983789ea158d0dcd239d3c4b1eaa1106d8",
+    "kappa-graph": "b1c588b39bea9a16defe49a81030725535920fab384d419787ca5fc73e6a1556",
+}
+
+
+def test_output_at_the_benchmark_shapes(tmp_path):
+    from test_moduli import benchmark_shaped_configuration
+
+    config = tmp_path / "n48.json"
+    config.write_text(json.dumps(benchmark_shaped_configuration(48, seed=0).to_json()))
+    outputs = {
+        "albanese": run_ok("albanese", "--input", str(config)),
+        "helix": run_ok("plot", "helix", "--format", "svg", "--k", "16384"),
+        "kappa-graph": run_ok("plot", "kappa-graph", "--k", "16384"),
+    }
+    digests = {name: hashlib.sha256(out.encode()).hexdigest() for name, out in outputs.items()}
+    assert digests == BENCH_SHAPED_DIGESTS
+
+
+# -- 12-digit JSON numbers --------------------------------------------------------------
+
+
+def round12(obj):
+    """The reference: obj with its floats rounded to 12 digits, for json.dumps (the CLI's writer before _json12)."""
+    if isinstance(obj, (list, tuple)):
+        return [float(format(v, ".12g")) if isinstance(v, float) else v if isinstance(v, int) else round12(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    return obj
+
+
+def num12_reference(v):
+    return json.dumps(float(format(v, ".12g")))
+
+
+TINY = sys.float_info.min  # the smallest normal double
+NUM12_EDGES = [
+    0.0, 5e-324, TINY, math.nextafter(TINY, 0.0), math.nextafter(TINY, 1.0), 1e-5,
+    9.999999999995e-05, 0.99999999999995, 0.999999999999, math.nextafter(0.999999999999, 0.0),
+    999999999999.5, 1e12, 1e16, 1e308, 4.0, 123456789012.0, math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("v", NUM12_EDGES + [-v for v in NUM12_EDGES], ids=repr)
+def test_num12_at_the_edges(v):
+    assert _num12(v) == num12_reference(v)
+    for values in ([0.5, v], [v, 0.5]):
+        assert _json12(values) == json.dumps(round12(values))
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_num12_is_the_12_digit_round_trip(v):
+    assert _num12(v) == num12_reference(v)
+
+
+FLOAT_LISTS = st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=8)
+UNIT_LISTS = st.lists(st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True), min_size=1, max_size=8)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(FLOAT_LISTS, UNIT_LISTS))
+@example([0.5, math.nan])  # min and max pass over a nan that is not first
+@example([0.5, 0.0])
+@example([0.5, 0.9999999999996])  # rounds to 1 at 12 digits
+@example([0.5, 5e-324])
+@example([0.5, True])
+@example([0.5, 1])
+def test_json12_of_a_float_list_is_json_dumps_of_round12(values):
+    assert _json12(values) == json.dumps(round12(values))
+    assert _json12(tuple(values)) == json.dumps(round12(tuple(values)))
+
+
+def test_json12_is_json_dumps_of_round12_on_the_cli_shapes():
+    import numpy as np
+
+    from treemoduli.moduli import ChartPoint, metric_matrix
+
+    def f64(obj):
+        if isinstance(obj, list):
+            return [f64(v) for v in obj]
+        return {k: f64(v) for k, v in obj.items()} if isinstance(obj, dict) else (
+            np.float64(obj) if isinstance(obj, float) else obj)
+
+    scan = rank_scan(8, 40, seed=0)
+    assert scan["counterexample"] is None
+    chart = ChartPoint((0.1, 0.2, 0.35, -4.0, 9.0))
+    metric = {"n": chart.n, "h": 1e-6, "chart": list(chart.u), "matrix": metric_matrix(chart, 1e-6).tolist()}
+    shapes = [
+        scan,
+        {**scan, "counterexample": [0.25, -1.5, 1e-300, 3e12]},
+        metric,
+        {**metric, "matrix": [list(row) for row in metric_matrix(chart, 1e-6)]},  # rows of np.float64
+        {"u": [1.5, 0.0], "v": [1.0, -0.5]},
+        {"u": [-0.0, 5e-324], "v": [math.inf, math.nan]},
+        {"h": 1e-6, "samples": 0, "length": 0.0, "flags": [True, False, None], "name": "a\u00e9\"b", "empty": [[], {}]},
+        [(0.5, 0.25), (0.75,)],
+    ]
+    for obj in shapes + [f64(obj) for obj in shapes]:
+        assert _json12(obj) == json.dumps(round12(obj))
+    assert isinstance(f64(metric)["matrix"][0][0], np.float64)
 
 
 def test_json_round_trip():
@@ -904,3 +1016,90 @@ def test_chart_above_the_size_limit_exits_2(cmd, tmp_path):
 def test_help_exits_zero():
     code, _ = run("--help")
     assert code == 0
+
+
+# -- every argv ends in exit 0, 2 or 3 ---------------------------------------------------
+
+# Values for each setting flag and --config key: out of every type's range or none of it.
+HUGE = "9" * 40
+BAD_SETTINGS = ("nan", "inf", "1e400", "-1", "", HUGE)
+# --config lines of each kind the reader refuses: no "=", no key, a key no command
+# reads, a value its type or its choices refuse.
+BAD_CONFIG_LINES = ("seed 7", "=7", "sead=7", "k=abc", "h=abc", "format=png")
+# Positional tokens: distinct small numbers, which every positional parses.
+TOKENS_FOR_POSITIONALS = ("2", "3", "5", "7")
+
+
+def _sweep_argvs(path, parser, tmp_path):
+    """The argvs of the sweep for the parser of command path (a tuple of names)."""
+    rows = tmp_path / "rows.csv"
+    rows.write_text("0.3,0.5\n0.6,0.5\n")
+    non_utf8 = tmp_path / "latin1.txt"
+    non_utf8.write_bytes(b"h=1e-6 \xe9\xff\n")
+    bad_files = (str(tmp_path), str(tmp_path / "missing"), str(non_utf8))
+    # a value for each option that is not a setting: for the base argv, which should run
+    values = {"chart": "0.3,0.5", "points_json": POINTS, "input": str(rows)}
+    argvs = [path + ("--help",)]
+    if parser.get_default("run") is None:  # a command group: no subcommand, an unknown one
+        return argvs + [path, path + ("no-such-command",)]
+    settings = parser.get_default("settings")
+    tokens = tuple(TOKENS_FOR_POSITIONALS[i] for a in parser._actions if not a.option_strings
+                   for i in range(a.nargs if isinstance(a.nargs, int) else 1))
+    # one option of each mutually exclusive group, the first: the others are swept with bad files
+    others = {a.dest for g in parser._mutually_exclusive_groups for a in g._group_actions[1:]}
+
+    def options(skip):
+        out = ()
+        for a in parser._actions:
+            if a.option_strings and a.dest not in (*settings, "help", "config", *skip):
+                out += (a.option_strings[0], values[a.dest])
+        return out
+
+    base = path + tokens + options(others)
+    argvs += [base, path + tokens + ("11",) + options(others)]
+    if tokens:
+        argvs.append(path + tokens[:-1] + options(others))
+    for key in settings:
+        for bad in BAD_SETTINGS:
+            if path == ("rank-scan",) and key == "trials" and bad == HUGE:
+                # accepted, and would run for months (about 5 us a trial); whether
+                # trials get a cap is undecided, so the sweep leaves it out
+                continue
+            config = tmp_path / f"{key}-{len(argvs)}.cfg"
+            config.write_text(f"{key}={bad}\n")
+            argvs += [base + ("--" + key, bad), base + ("--config", str(config))]
+    if settings:
+        for i, line in enumerate(BAD_CONFIG_LINES):
+            config = tmp_path / f"bad-{i}.cfg"
+            config.write_text(line + "\n")
+            argvs.append(base + ("--config", str(config)))
+        argvs += [base + ("--config", bad) for bad in bad_files]
+    if any(a.dest == "input" for a in parser._actions):
+        # without the options that exclude --input, as --points does for albanese
+        rivals = {a.dest for g in parser._mutually_exclusive_groups for a in g._group_actions
+                  if "input" in {b.dest for b in g._group_actions}}
+        argvs += [path + tokens + options(rivals | {"input"}) + ("--input", bad) for bad in bad_files]
+    return argvs
+
+
+SWEEP_PATHS = [path for path, _ in _parsers(treemoduli.cli.build_parser())]
+
+
+@pytest.mark.parametrize("path", SWEEP_PATHS, ids=lambda path: " ".join(path) or "treemoduli")
+def test_every_argv_of_the_parser_ends_in_exit_0_2_or_3(path, tmp_path, capsys):
+    # The argvs come from the parser itself: --help, a positional missing and
+    # one extra, each setting with each bad value as a flag and in --config,
+    # bad --config lines and files, and bad --input files.  A command that
+    # raises anything but the CLI's error classes fails the test from main.
+    parser = dict(_parsers(treemoduli.cli.build_parser()))[path]
+    codes = []
+    for argv in _sweep_argvs(path, parser, tmp_path):
+        code, out = run(*argv)
+        std = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in std.err, argv
+        if code:
+            assert out == std.out == "", argv
+        codes.append(code)
+    assert codes[0] == 0  # --help
+    assert 2 in codes

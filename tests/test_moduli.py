@@ -1342,6 +1342,22 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
     assert peak_bytes(curve_length, bench_path(4)) <= 998288
 
 
+def test_stencil_without_a_reduction_writes_each_slice_into_its_result():
+    # A rank_scan chunk: 256 charts at n = 8, stencil slices of 24 charts.
+    # Its (256, 56, 6) result is 688128 B, and the peak read 949296 B (numpy
+    # 2.4): the result and one slice's temporaries.  The bound has 10 %
+    # headroom over that, so it catches one more result-sized array; the
+    # one-slice buffer an earlier version copied each slice through (1013872 B)
+    # is within it.
+    rng = np.random.default_rng(83)
+    U = np.array([random_chart(rng, 8).u for _ in range(256)])
+    jac = _central_jacobians(U, 1e-6)
+    assert jac.shape == (256, 56, 6)
+    # the slices reduce sees are the same Jacobians, bit for bit
+    assert _central_jacobians(U, 1e-6, reduce=lambda j: j).tobytes() == jac.tobytes()
+    assert peak_bytes(_central_jacobians, U, 1e-6) <= 1.1 * 949296
+
+
 # -- rank scan ----------------------------------------------------------------------------
 
 
