@@ -67,25 +67,6 @@ def fmt_point(p: ProjPoint) -> str:
 _MIN_NORMAL = sys.float_info.min
 
 
-def _num12(v: float) -> str:
-    """The JSON number of v at 12 significant digits: the text of json.dumps(float(format(v, ".12g"))).
-
-    Where a normal float below 1e12 has a 12-digit text with a point or a
-    negative exponent, the double it parses to has that text as its repr,
-    so it is returned as it is; a text of digits only gets repr's ".0".  The
-    rest take the round trip: negative integers and -0, subnormals,
-    |v| >= 1e12 (where .12g writes "e+" and repr stays positional up to
-    1e16), nan and +-inf.
-    """
-    s = format(v, ".12g")
-    if "." in s or "e-" in s:
-        if _MIN_NORMAL <= abs(v) < 1e12:
-            return s
-    elif s.isdigit():
-        return s + ".0"
-    return json.dumps(float(s))
-
-
 # Rounded to 12 digits, a float below this stays below 1.
 _BELOW_ONE = 0.999999999999
 
@@ -93,27 +74,29 @@ _BELOW_ONE = 0.999999999999
 def _unit_floats(seq) -> bool:
     """Whether seq holds only floats in [_MIN_NORMAL, _BELOW_ONE), none of them nan.
 
-    The 12-digit text of each has a point or a negative exponent, which
-    _num12 returns as it is: one % format can write them all.
+    The 12-digit text of each has a point or a negative exponent and is the
+    repr of the double it parses to, as json.dumps(_round12(seq)) writes it.
     """
     return (set(map(type, seq)) == {float} and _MIN_NORMAL <= min(seq) and max(seq) < _BELOW_ONE
             and not math.isnan(sum(seq)))
 
 
-def _json12(obj) -> str:
-    """json.dumps(obj) with every float (float subclasses too) written by _num12.
-
-    Lists and tuples become JSON arrays, each one join; dict keys are strings.
-    """
+def _round12(obj):
+    """obj with every float (float subclasses too) rounded to 12 significant digits, lists and tuples as lists."""
     if isinstance(obj, float):
-        return _num12(obj)
+        return float(format(obj, ".12g"))
     if isinstance(obj, (list, tuple)):
-        if _unit_floats(obj):  # albanese's values
-            return "[" + ", ".join(["%.12g"] * len(obj)) % tuple(obj) + "]"
-        return "[" + ", ".join([_num12(v) if isinstance(v, float) else _json12(v) for v in obj]) + "]"
+        return [_round12(v) for v in obj]
     if isinstance(obj, dict):
-        return "{" + ", ".join([json.dumps(k) + ": " + _json12(v) for k, v in obj.items()]) + "}"
-    return json.dumps(obj)
+        return {k: _round12(v) for k, v in obj.items()}
+    return obj
+
+
+def _json12(obj) -> str:
+    """json.dumps(_round12(obj)); a list that _unit_floats accepts (albanese's values) is one % format."""
+    if isinstance(obj, (list, tuple)) and _unit_floats(obj):
+        return "[" + ", ".join(["%.12g"] * len(obj)) % tuple(obj) + "]"
+    return json.dumps(_round12(obj))
 
 
 # Every setting a command can read, with its type and accepted values: a flag

@@ -415,11 +415,13 @@ def rank_scan(
     block of _SCAN_BLOCK trials runs one redraw loop, then each chunk one stencil
     evaluation and one SVD call, with the same bits as one Jacobian per trial.
     A chart of rule 1 or 2 is redrawn, so a stream stops at its first try
-    of rule 0 or 3; the earliest such try of rule 3, then the lowest trial,
-    raises.  Round 0 is the first draw; each later round draws as many
-    charts ahead per open trial as it has tried, up to reject_cap tries
-    and to _BUDGET // (open trials * dim) charts, and a stream is not read
-    after its chart is accepted.  The outcome does not depend on the round
+    of rule 0 or 3.  Blocks run in trial order and the first that fails
+    raises: its earliest such try of rule 3, then its lowest trial, else its
+    lowest trial without an accepted chart after reject_cap tries, even
+    where a later block is stuck at an earlier try.  Round 0 is the first
+    draw; each later round draws as many charts ahead per open trial as it
+    has tried, up to reject_cap tries and to _BUDGET // (open trials * dim)
+    charts, and a stream is not read after its chart is accepted.  The outcome does not depend on the round
     sizes, as every open trial has made the same number of tries.
     """
     n, trials = _integer(n, "n"), _integer(trials, "trials")

@@ -1638,6 +1638,7 @@ def scripted_streams(monkeypatch, charts):
 
 
 SEAM, OK = (0.3, 0.3), (0.3, 0.6)
+FIFTEEN_OK = [[OK]] * 15
 
 
 @pytest.mark.parametrize(
@@ -1647,6 +1648,9 @@ SEAM, OK = (0.3, 0.3), (0.3, 0.6)
         ([[SEAM, SEAM, OK, (5.5, 0.3)], [SEAM] * 3 + [(2.5, 0.3)], [SEAM, SEAM, (4.5, 0.3)], [SEAM] * 3 + [(3.5, 0.3)]], 4.5),
         # trials 1 and 3 are stuck at their fourth try: the lower trial raises
         ([[SEAM, SEAM, OK, (5.5, 0.3)], [SEAM] * 3 + [(2.5, 0.3)], [SEAM] * 3 + [OK], [SEAM] * 3 + [(3.5, 0.3)]], 2.5),
+        # trial 16 is stuck at its first try, before trial 0 at its third, but in the
+        # second 16-trial block, which runs only after the first has failed
+        ([[SEAM, SEAM, (2.5, 0.3)]] + FIFTEEN_OK + [[(5.5, 0.3)]] + FIFTEEN_OK, 2.5),
     ],
 )
 def test_rank_scan_raises_the_first_stuck_try(monkeypatch, charts, stuck):
@@ -1654,8 +1658,15 @@ def test_rank_scan_raises_the_first_stuck_try(monkeypatch, charts, stuck):
     # third try, so its fourth, stuck at 5.5 in the same round of draws, is never tried
     scripted_streams(monkeypatch, charts)
     with pytest.raises(InvalidChart, match="^step h = 1.000e-16 does not move chart coordinate 1 = ") as err:
-        rank_scan(4, 4, h=1e-16)
+        rank_scan(4, len(charts), h=1e-16)
     assert float(str(err.value).rsplit(" = ", 1)[1]) == pytest.approx(stuck)
+
+
+def test_rank_scan_cap_failure_in_a_lower_block_raises_first(monkeypatch):
+    # trial 0 runs out of tries, trial 16 is stuck at its first: the first block fails first
+    scripted_streams(monkeypatch, [[SEAM] * 3] + FIFTEEN_OK + [[(5.5, 0.3)]] + FIFTEEN_OK)
+    with pytest.raises(SeamTooClose, match=r"^trial 0: no draw with seam margin above 10 h in 3 tries$"):
+        rank_scan(4, 32, h=1e-16, reject_cap=3)
 
 
 NAN = (math.nan, 0.3)
@@ -1813,6 +1824,15 @@ def test_low_sigma_ratio_chart_is_exactly_full_rank():
     u = ChartPoint((-1.9402308244564916, 1039.0048485204481, 0.04369664961997496))
     assert _rank_and_ratio(albanese_jacobian(u), 0.0)[1] < 1e-6
     assert _exact_rank(_exact_jacobian(u)) == 3
+
+
+@pytest.mark.parametrize("n, seed", [(7, 3), (8, 0)])
+def test_printed_counterexamples_are_exactly_full_rank(n, seed):
+    # the charts behind goldens rank_scan_n7_seed3.txt and rank_scan_n8_seed0.txt:
+    # the float test calls them rank deficient, the exact Jacobian has rank n - 2
+    u = ChartPoint(tuple(rank_scan(n, 200, seed=seed)["counterexample"]))
+    assert _rank_and_ratio(albanese_jacobian(u), 0.0)[1] < 1e-6
+    assert _exact_rank(_exact_jacobian(u)) == n - 2
 
 
 def test_rank_scan_schema_and_preconditions():
