@@ -29,14 +29,18 @@ def _mul_add(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     32 x 32-bit limb product fits in a uint64; its low half goes to the
     column of its limbs and its high half to the next, so a column sums at
     most 14 values below 2**32.  One carry pass then leaves 32-bit limbs,
-    and the carry out of the top limb is dropped.
+    and the carry out of the top limb is dropped.  The low halves are taken
+    in place, so a step holds the products and their high halves only.
     """
     cols = np.zeros((4, x.shape[-1], k.shape[-1]), np.uint64)
     for i in range(4):
         p = x[:, i, None, :, None] * k[:, :4 - i, None, :]  # (2, 4 - i, m, c): limb i times limbs j < 4 - i
-        lo, hi = p & _M32, p[:, :3 - i] >> np.uint64(32)
-        cols[i:] += lo[0] + lo[1]
-        cols[i + 1:] += hi[0] + hi[1]
+        hi = p[:, :3 - i] >> np.uint64(32)
+        p &= _M32
+        cols[i:] += p[0]
+        cols[i:] += p[1]
+        cols[i + 1:] += hi[0]
+        cols[i + 1:] += hi[1]
     for j in range(3):
         cols[j + 1] += cols[j] >> np.uint64(32)
     return cols & _M32
@@ -67,8 +71,8 @@ def pcg64_streams(seed: int, ks) -> tuple[np.ndarray, np.ndarray]:
     data, so the hashes of one mixing step run together), then PCG64's
     seeding: one LCG step from increment plus seed.  Every k must have as
     many 32-bit words as max(ks): a chunk of rank_scan starts at a
-    multiple of its 256 trials, so it never holds both sides of a power
-    of 2**32.
+    multiple of its _SCAN_CHUNK trials, which divides 2**32, so it never
+    holds both sides of a power of 2**32.
     """
     def words(v: int) -> list[int]:
         return [v >> s & 0xFFFFFFFF for s in range(0, max(1, v.bit_length()), 32)]
@@ -117,10 +121,11 @@ def pcg64_doubles(state: np.ndarray, inc: np.ndarray, count: int) -> tuple[np.nd
 
     Every step of every stream is one jump from the given state, through
     the jump table; then the XSL-RR output and (x >> 11) * 2**-53 per
-    double: Generator.random's bits.
+    double: Generator.random's bits.  The states are a copy, so they do not
+    hold the (4, m, count) limbs of every step.
     """
     s = _mul_add(np.stack([state.T, inc.T]), _jump_table(count))
     x = (s[2] ^ s[0]) | (s[3] ^ s[1]) << np.uint64(32)  # high 64 bits xor low 64 bits
     rot = s[3] >> np.uint64(26)
     out = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-    return s[:, :, -1].T, (out >> np.uint64(11)).astype(float) * 2.0**-53
+    return s[:, :, -1].T.copy(), (out >> np.uint64(11)).astype(float) * 2.0**-53

@@ -189,15 +189,16 @@ def _refusal(u: np.ndarray, rule: int, margin: float, h: float) -> ArithmeticErr
 # _BUDGET // (4 T) pieces, but at least _BUDGET // 512 (512 at n = 4, 36 at
 # n = 8, 16 from n = 11 on), and a rank_scan redraw round at most
 # _BUDGET // (open trials * dim) charts per trial (85 for a full block at
-# n = 8).  At n = 16 a slice peaks at about 160 KiB per chart.  A screen
-# holds only its pieces' ratios and metrics, as its stencil call hands the
-# dense Jacobians to _pullback one slice at a time, so at n = 16 the floor
-# of 16 pieces cuts the calls per piece without raising the peak RSS.
+# n = 8).  At n = 16 a slice peaks at about 160 KiB per chart.  No caller
+# holds more than one slice's dense Jacobians: its stencil call hands each
+# slice to a reduction (metrics for a curve_length screen, singular values
+# for a rank_scan chunk), so at n = 16 the floor of 16 pieces per screen
+# cuts the calls per piece without raising the peak RSS.
 _BUDGET = 8192
 
 
-def _central_jacobians(U: np.ndarray, h: float, reduce=None) -> np.ndarray:
-    """Central-difference Jacobians at a block of charts U (m, dim), as an (m, T, dim) stack, or reduced.
+def _central_jacobians(U: np.ndarray, h: float, reduce) -> np.ndarray:
+    """Central-difference Jacobians at a block of charts U (m, dim), each slice reduced, stacked per chart.
 
     Column r moves coordinate r by +h and -h and evaluates only the
     C(n - 1, 2) triples that contain its point.  Slices of _BUDGET // (T * dim)
@@ -206,30 +207,26 @@ def _central_jacobians(U: np.ndarray, h: float, reduce=None) -> np.ndarray:
     cover.  Each entry is the same float operations as perturbing one chart
     and one coordinate at a time, and every other entry is an exact zero, as
     there.  Each difference is wrapped into the lift nearest the base value.
-    A slice's dense (charts, T, dim) Jacobians go to reduce, when it is given,
-    before the next slice is computed, and the result stacks what it returns
-    per chart: reduce=_pullback gives an (m, dim, dim) stack of metrics while
-    no more than one slice's Jacobians is held.  U holds only rows that
-    _refusals passes.
+    A slice's dense (charts, T, dim) Jacobians go to reduce before the next
+    slice is computed, in one buffer that the next slice overwrites, so reduce
+    must not return a view of it; the result stacks what reduce returns per
+    chart.  reduce=_pullback gives an (m, dim, dim) stack of metrics,
+    _singular_values an (m, dim) one and np.copy the (m, T, dim) Jacobians.
+    U holds only rows that _refusals passes.
     """
     m, dim = U.shape
     trip, _, _, bk_idx, flat = _table(dim + 2)
     gather, T = _take_index(dim + 2)[1], len(trip)
     step = max(1, _BUDGET // (T * dim))
-    # without reduce each slice is written straight into the result
-    jac, out = np.zeros((m if reduce is None else min(m, step), T * dim)), None
+    jac, out = np.zeros((min(m, step), T * dim)), []
     for s in range(0, max(m, 1), step):  # no charts: one empty slice gives the result's shape
         V = U[s:s + step]
         a = np.concatenate([np.zeros((len(V), 1)), V, np.ones((len(V), 2)), V + h, V - h], axis=1)
         t = _cover_values(_gauge_ratios(a, *gather, bk_idx))  # (charts, sign, dim, K)
-        rows = jac[s:s + step] if reduce is None else jac[:len(V)]
+        rows = jac[:len(V)]
         rows[:, flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), len(flat))
-        if reduce is not None:
-            got = reduce(rows.reshape(len(V), T, dim))
-            if out is None:
-                out = np.empty((m,) + got.shape[1:])
-            out[s:s + step] = got
-    return jac.reshape(m, T, dim) if reduce is None else out
+        out.append(reduce(rows.reshape(len(V), T, dim)))
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:
@@ -238,12 +235,16 @@ def _pullback(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.swapaxes(-1, -2))
 
 
-# Trials per rank_scan redraw loop.  A trial that exhausts its tries, or a
-# stuck step, stops the scan at its block.  The random streams of a chunk
-# of 16 blocks are seeded, drawn and screened for their first chart
-# together, and the chunk's accepted charts get one stencil and one SVD call.
+# Trials per rank_scan redraw loop, and per chunk.  A trial that exhausts
+# its tries, or a stuck step, stops the scan at its block.  The random
+# streams of a chunk of 32 blocks are seeded, drawn and screened for their
+# first chart together; only a block with a refused first draw runs a
+# redraw loop, and the chunk's accepted charts then get one stencil call,
+# which takes the singular values of each slice.  A chunk starts at a
+# multiple of _SCAN_CHUNK, which divides 2**32, so its trial numbers all
+# have as many 32-bit words, as pcg64_streams requires.
 _SCAN_BLOCK = 16
-_SCAN_CHUNK = 16 * _SCAN_BLOCK
+_SCAN_CHUNK = 32 * _SCAN_BLOCK
 
 
 def _check_step(h: float) -> float:
@@ -269,19 +270,25 @@ def albanese_jacobian(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
     rule, margin = _refusals(base, h)
     if rule[0]:
         raise _refusal(base[0], rule[0], margin[0], h)
-    return _central_jacobians(base, h)[0]
+    return _central_jacobians(base, h, np.copy)[0]
 
 
-def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks at relative singular value tolerance tol, and ratios s_min / s_max.
+def _singular_values(jac: np.ndarray) -> np.ndarray:
+    """Singular values of a Jacobian, or of each of a (..., T, dim) stack, in one SVD call, largest first.
 
-    jac is one Jacobian or a (..., T, dim) stack of them, decomposed in
-    one SVD call; an all-zero Jacobian has rank 0 and ratio 0.0.
+    NonFiniteEntry if any entry is NaN or infinite.
     """
-    jac = np.asarray(jac, dtype=float)
     if not np.isfinite(jac).all():
         raise NonFiniteEntry("jacobian contains non-finite entries")
-    s = np.linalg.svd(jac, compute_uv=False)
+    return np.linalg.svd(jac, compute_uv=False)
+
+
+def _rank_and_ratio(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks at relative tolerance tol, and ratios s_min / s_max, of singular values s on the last axis.
+
+    A rank counts the values above tol times the largest; all-zero values
+    have rank 0 and ratio 0.0.
+    """
     top = s.max(axis=-1, initial=0.0)
     low = s.min(axis=-1, initial=np.inf)
     rank = np.sum(s > tol * top[..., None], axis=-1)
@@ -290,7 +297,7 @@ def _rank_and_ratio(jac: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
 
 def jacobian_rank(jac: np.ndarray, tol: float = 1e-6) -> int:
     """Number of singular values above tol times the largest."""
-    return int(_rank_and_ratio(jac, tol)[0])
+    return int(_rank_and_ratio(_singular_values(np.asarray(jac, dtype=float)), tol)[0])
 
 
 def metric_matrix(u: ChartPoint, h: float = 1e-6) -> np.ndarray:
@@ -412,8 +419,10 @@ def rank_scan(
     bit, so the report is reproducible and order-independent; the streams
     are computed for a chunk of _SCAN_CHUNK trials at once, without
     numpy.random, and the chunk's first draw is screened at once.  Each
-    block of _SCAN_BLOCK trials runs one redraw loop, then each chunk one stencil
-    evaluation and one SVD call, with the same bits as one Jacobian per trial.
+    block of _SCAN_BLOCK trials with a refused first draw runs one redraw
+    loop; a block whose first draws are all accepted cannot fail and runs
+    none.  Then each chunk gets one stencil call, which hands each slice's
+    Jacobians to one SVD call, with the same bits as one Jacobian per trial.
     A chart of rule 1 or 2 is redrawn, so a stream stops at its first try
     of rule 0 or 3.  Blocks run in trial order and the first that fails
     raises: its earliest such try of rule 3, then its lowest trial, else its
@@ -421,8 +430,9 @@ def rank_scan(
     where a later block is stuck at an earlier try.  Round 0 is the first
     draw; each later round draws as many charts ahead per open trial as it
     has tried, up to reject_cap tries and to _BUDGET // (open trials * dim)
-    charts, and a stream is not read after its chart is accepted.  The outcome does not depend on the round
-    sizes, as every open trial has made the same number of tries.
+    charts, and a stream is not read after its chart is accepted.  The
+    outcome does not depend on the round sizes, as every open trial has
+    made the same number of tries.
     """
     n, trials = _integer(n, "n"), _integer(trials, "trials")
     seed, reject_cap = _integer(seed, "seed"), _integer(reject_cap, "reject_cap")
@@ -453,7 +463,8 @@ def rank_scan(
         state, inc = pcg64_streams(seed, chunk)
         state, drawn = draw(state, inc, 1)
         rules, U = _refusals(drawn, h)[0], drawn[0]  # U: the accepted charts, once their blocks are done
-        for b0 in range(0, len(chunk), _SCAN_BLOCK):
+        refused = np.add.reduceat(rules[0], np.arange(0, len(chunk), _SCAN_BLOCK))  # 0: all accepted
+        for b0 in (_SCAN_BLOCK * np.flatnonzero(refused)).tolist():
             rows = np.arange(b0, min(b0 + _SCAN_BLOCK, len(chunk)))
             V, rule, tries = U[None, rows], rules[:, rows], 1
             while True:
@@ -473,7 +484,7 @@ def rank_scan(
             if len(rows):
                 trial = chunk[rows[0]]
                 raise SeamTooClose(f"trial {trial}: no draw with seam margin above 10 h in {reject_cap} tries")
-        rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, _singular_values), tol)
         short = np.flatnonzero(rank < dim)
         full += len(U) - len(short)
         if counterexample is None and len(short):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,8 @@ from treemoduli.moduli import (
     triples,
 )
 from treemoduli.moduli import (
+    _SCAN_BLOCK,
+    _SCAN_CHUNK,
     _central_jacobians,
     _chart_ratios,
     _cover_values,
@@ -44,6 +48,7 @@ from treemoduli.moduli import (
     _refusal,
     _refusals,
     _seam_margin,
+    _singular_values,
     _table,
     _take_index,
     _wrap,
@@ -634,7 +639,7 @@ def test_gauge_ratios_take_contiguous_writeable_indices(monkeypatch):
     monkeypatch.setattr(mod, "_gauge_ratios", recording)
     for n, U in charts.items():
         mod._chart_ratios(U)
-        mod._central_jacobians(U, 1e-6)
+        mod._central_jacobians(U, 1e-6, np.copy)
         trip, gather = _table(n)[:2]
         rows, index = _take_index(n)
         assert rows.tobytes() == trip.T.tobytes() and index.tobytes() == gather.tobytes()
@@ -648,7 +653,7 @@ def test_stacked_central_jacobians_match_per_chart_loop():
     for n in (3, 4, 8, 12, 16):
         charts = [random_chart(rng, n) for _ in range(9)]
         T = math.comb(n, 3)
-        stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6)
+        stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, np.copy)
         assert stack.shape == (9, T, n - 2)
         for u, jac in zip(charts, stack):
             ref = loop_jacobian(u)
@@ -656,7 +661,7 @@ def test_stacked_central_jacobians_match_per_chart_loop():
             assert np.array_equal(jac, ref)
             assert np.array_equal(np.signbit(jac), np.signbit(ref))
             assert np.array_equal(albanese_jacobian(u), ref)
-        assert _central_jacobians(np.empty((0, n - 2)), 1e-6).shape == (0, T, n - 2)
+        assert _central_jacobians(np.empty((0, n - 2)), 1e-6, np.copy).shape == (0, T, n - 2)
 
 
 def test_gather_table_moves_each_point_in_its_own_slot():
@@ -1272,7 +1277,7 @@ def test_stacked_pullback_and_quadratic_form_equal_the_per_chart_ones(n):
     assert _pullback(np.zeros((0, T, dim))).shape == (0, dim, dim)
     U = np.array([random_chart(rng, n, margin=1e-3).u for _ in range(7)])
     D = rng.uniform(-2.0, 2.0, U.shape)
-    jac = _central_jacobians(U, 1e-6)
+    jac = _central_jacobians(U, 1e-6, np.copy)
     for m in (1, 7):
         G = _pullback(jac[:m])
         L = np.sqrt(np.maximum(D[:m, None] @ G @ D[:m, :, None], 0.0))[:, 0, 0]
@@ -1342,20 +1347,17 @@ def test_curve_length_screens_several_pieces_per_call_at_flat_memory(monkeypatch
     assert peak_bytes(curve_length, bench_path(4)) <= 998288
 
 
-def test_stencil_without_a_reduction_writes_each_slice_into_its_result():
-    # A rank_scan chunk: 256 charts at n = 8, stencil slices of 24 charts.
-    # Its (256, 56, 6) result is 688128 B, and the peak read 949296 B (numpy
-    # 2.4): the result and one slice's temporaries.  The bound has 10 %
-    # headroom over that, so it catches one more result-sized array; the
-    # one-slice buffer an earlier version copied each slice through (1013872 B)
-    # is within it.
-    rng = np.random.default_rng(83)
-    U = np.array([random_chart(rng, 8).u for _ in range(256)])
-    jac = _central_jacobians(U, 1e-6)
-    assert jac.shape == (256, 56, 6)
-    # the slices reduce sees are the same Jacobians, bit for bit
-    assert _central_jacobians(U, 1e-6, reduce=lambda j: j).tobytes() == jac.tobytes()
-    assert peak_bytes(_central_jacobians, U, 1e-6) <= 1.1 * 949296
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stencil_with_the_copying_identity_is_albanese_jacobian_per_chart(n):
+    # Enough charts for several stencil slices at n = 7 and 8 (46 and 24 a
+    # slice), the last one short: each slice's Jacobians, copied out of the
+    # buffer the next slice overwrites, are the one-chart Jacobians bit for bit.
+    rng = np.random.default_rng([83, n])
+    charts = [random_chart(rng, n) for _ in range(75)]
+    jac = _central_jacobians(np.array([u.u for u in charts]), 1e-6, np.copy)
+    assert jac.shape == (75, math.comb(n, 3), n - 2)
+    for u, j in zip(charts, jac):
+        assert j.tobytes() == albanese_jacobian(u).tobytes()
 
 
 # -- rank scan ----------------------------------------------------------------------------
@@ -1407,11 +1409,13 @@ def loop_rank_scan(n, trials, seed, h=1e-6, tol=1e-6):
 
 
 @pytest.mark.parametrize(
-    "n, trials", [(n, t) for n in range(3, 9) for t in (1, 33, 100)] + [(n, t) for n in (4, 8) for t in (256, 257)]
+    "n, trials",
+    [(n, t) for n in range(3, 9) for t in (1, 33, 100)]
+    + [(n, t) for n in (4, 8) for t in (256, 257, _SCAN_CHUNK, _SCAN_CHUNK + 1)],
 )
 def test_rank_scan_matches_per_trial_loop(n, trials):
-    # trial counts that are not multiples of the block size, and one that
-    # fills the 256-trial stream chunk and one that crosses it
+    # trial counts that are not multiples of the block size, one that fills
+    # the stream chunk and one that crosses it, and the same about half a chunk
     assert rank_scan(n, trials, seed=3) == loop_rank_scan(n, trials, 3)
 
 
@@ -1435,25 +1439,35 @@ def test_rank_scan_does_not_depend_on_the_stencil_budget(monkeypatch):
 
 
 def test_rank_scan_decomposes_each_chunk_once(monkeypatch):
-    # one stencil and one SVD call per 256-trial chunk, after its redraw blocks
+    # one stencil call per 512-trial chunk, after its redraw loops, and one SVD
+    # call per stencil slice: 24 charts at n = 8, so 21 full slices and one of 8
     import treemoduli.moduli as mod
 
     want = rank_scan(8, 1000, seed=1)
     calls = []
-    stencil, rank = mod._central_jacobians, mod._rank_and_ratio
+    stencil, singular = mod._central_jacobians, mod._singular_values
 
-    def counting_stencil(U, *args):
+    def counting_stencil(U, h, reduce):
         calls.append(("stencil", len(U)))
-        return stencil(U, *args)
+        return stencil(U, h, reduce)
 
-    def counting_rank(jac, *args):
+    def counting_singular(jac):
         calls.append(("svd", len(jac)))
-        return rank(jac, *args)
+        return singular(jac)
 
     monkeypatch.setattr(mod, "_central_jacobians", counting_stencil)
-    monkeypatch.setattr(mod, "_rank_and_ratio", counting_rank)
+    monkeypatch.setattr(mod, "_singular_values", counting_singular)
     assert rank_scan(8, 1000, seed=1) == want
-    assert calls == [(name, m) for m in (256, 256, 256, 232) for name in ("stencil", "svd")]
+    slices = [("svd", 24)] * 21 + [("svd", 8)]
+    assert calls == [("stencil", 512)] + slices + [("stencil", 488)] + slices[1:]
+
+
+def test_scan_chunks_are_whole_blocks_that_divide_2_pow_32():
+    # pcg64_streams needs every trial number of a chunk to have as many 32-bit
+    # words; a chunk starts at a multiple of _SCAN_CHUNK, so it never holds
+    # trials on both sides of 2**32 (or of any power of it)
+    assert _SCAN_CHUNK % _SCAN_BLOCK == 0
+    assert 2**32 % _SCAN_CHUNK == 0
 
 
 STREAM_SEEDS = [0, 1, 5, 109, 2**32 - 1, 2**32, 2**64 + 5, 3**80, 10**39 + 7]
@@ -1564,7 +1578,7 @@ def default_rng_rank_scan(n, trials, seed=0, h=1e-6, tol=1e-6, reject_cap=1000):
                 raise SeamTooClose(
                     f"trial {ks[row]}: no draw with seam margin above 10 h in {reject_cap} tries"
                 )
-        rank, ratio = _rank_and_ratio(_central_jacobians(U, h), tol)
+        rank, ratio = _rank_and_ratio(_central_jacobians(U, h, _singular_values), tol)
         short = np.flatnonzero(rank < dim)
         full += len(ks) - len(short)
         if counterexample is None and len(short):
@@ -1604,6 +1618,7 @@ def test_rank_scan_streams_match_default_rng(n, h, seed):
         (4, 3, 1, 0.5, 1000),
         (4, 600, 2, 1e-3, 3),
         (6, 600, 0, 1e-3, 5),
+        (7, 1600, 2, 1e-3, 8),
         (4, 600, 2, 1e-3, 1),
         (8, 100, 1, 8e-3, 1000),
         (8, 300, 0, 5e-3, 1000),
@@ -1612,10 +1627,11 @@ def test_rank_scan_streams_match_default_rng(n, h, seed):
     ],
 )
 def test_rank_scan_streams_match_default_rng_across_chunks(n, trials, seed, h, cap):
-    # trial counts past the 256-trial stream chunk, a 40-digit seed, and reject-cap
-    # failures at trial 0 and, with a low cap, at trials 344 and 513 of later chunks;
-    # then steps that refuse most draws, so redraw rounds draw many charts ahead,
-    # with a cap of 100 tries that ends a round short (trial 12)
+    # trial counts past the 512-trial stream chunk, a 40-digit seed, and reject-cap
+    # failures at trial 0 and, with a low cap, at trial 344 and at trials 513 and
+    # 1466 of the second and third chunks; then steps that refuse most draws, so
+    # redraw rounds draw many charts ahead, with a cap of 100 tries that ends a
+    # round short (trial 12)
     want = scan_outcome(default_rng_rank_scan, n, trials, seed, h, reject_cap=cap)
     assert scan_outcome(rank_scan, n, trials, seed, h, reject_cap=cap) == want
 
@@ -1707,7 +1723,7 @@ def test_rank_scan_builds_no_refusal_error(monkeypatch):
 
 
 def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
-    # one _refusals call for the first draw of each 256-trial chunk, not one per
+    # one _refusals call for the first draw of each 512-trial chunk, not one per
     # 16-trial block, and one for each redraw round (this scan has one)
     import treemoduli._streams as streams
     import treemoduli.moduli as mod
@@ -1730,8 +1746,45 @@ def test_rank_scan_screens_each_chunk_first_draw_once(monkeypatch):
     draws, screens = calls[::2], calls[1::2]
     assert [c[0] for c in draws] == ["draw"] * len(draws) and len(screens) == len(draws)
     assert [("screen", m * tries) for _, m, tries in draws] == screens  # each draw screened in one call
-    assert [c for c in draws if c[1] > 16] == [("draw", 256, 1)] * 3 + [("draw", 232, 1)]
-    assert len(screens) == 4 + 1
+    assert [c for c in draws if c[1] > 16] == [("draw", 512, 1), ("draw", 488, 1)]
+    assert len(screens) == 2 + 1
+
+
+def test_rank_scan_enters_a_redraw_loop_only_for_a_block_with_a_refused_first_draw():
+    # At h = 1e-4 about one chart in twelve is refused at n = 6, so some
+    # 16-trial blocks hold a refused first draw and some do not; those blocks
+    # are found here from NumPy's generators, one per trial.  A loop entered
+    # for a block whose first draws are all accepted would draw nothing, so
+    # the loops are counted by tracing the statement that opens one: the only
+    # one that reads a block's first-draw rules.
+    import treemoduli.moduli as mod
+
+    n, trials, seed, h = 6, 1200, 0, 1e-4
+    first = np.array([np.tan(np.pi * (np.random.default_rng([seed, k]).random(n - 2) + 0.25)) for k in range(trials)])
+    refused = sorted(set((np.flatnonzero(_refusals(first, h)[0]) // _SCAN_BLOCK).tolist()))
+    assert 0 < len(refused) < trials // _SCAN_BLOCK
+    lines, start = inspect.getsourcelines(mod.rank_scan)
+    opens = [start + i for i, text in enumerate(lines) if "rules[:, rows]" in text]
+    assert len(opens) == 1
+    entered = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == opens[0]:
+            entered.append((frame.f_locals["c0"] + frame.f_locals["b0"]) // _SCAN_BLOCK)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is mod.rank_scan.__code__ else None
+
+    want = rank_scan(n, trials, seed, h)
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = rank_scan(n, trials, seed, h)
+    finally:
+        sys.settrace(outer)
+    assert got == want
+    assert entered == refused
 
 
 def test_rank_scan_cap_failure_draws_only_the_failing_block(monkeypatch):
@@ -1749,7 +1802,7 @@ def test_rank_scan_cap_failure_draws_only_the_failing_block(monkeypatch):
     monkeypatch.setattr(streams, "pcg64_doubles", counting_doubles)
     with pytest.raises(SeamTooClose, match=r"^trial 0: no draw"):
         rank_scan(8, 1000, h=0.5)
-    assert draws[0] == (256, 1)
+    assert draws[0] == (_SCAN_CHUNK, 1)
     assert all(m == 16 for m, _ in draws[1:])
     assert sum(tries for _, tries in draws) == 1000
 
@@ -1765,6 +1818,15 @@ def test_rank_scan_redraw_memory_is_flat_in_the_reject_cap():
 
     low, high = peak_bytes(scan, 1000), peak_bytes(scan, 4000)
     assert high < 8 * 2**20 and high <= 1.5 * low, (low, high)
+
+
+def test_rank_scan_memory_stays_at_the_256_trial_chunk_figure():
+    # 1029562 B is the tracemalloc peak of this scan with 256-trial chunks and
+    # an (m, T, dim) Jacobian stack per chunk (numpy 2.4).  A 512-trial chunk
+    # holds singular values instead, and its draw and screen peak near the
+    # old figure.  Peaks move by about 5 % between processes, so the bound
+    # has 10 %: it catches a chunk of 1024 trials (about 1.98 MB).
+    assert peak_bytes(rank_scan, 8, 1000, 1) <= 1.1 * 1029562
 
 
 @pytest.mark.parametrize(
@@ -1822,7 +1884,7 @@ def test_low_sigma_ratio_chart_is_exactly_full_rank():
     # a coordinate near the tangent pole depresses the float sigma ratio
     # below the rank tolerance, yet the differential there is injective
     u = ChartPoint((-1.9402308244564916, 1039.0048485204481, 0.04369664961997496))
-    assert _rank_and_ratio(albanese_jacobian(u), 0.0)[1] < 1e-6
+    assert _rank_and_ratio(_singular_values(albanese_jacobian(u)), 0.0)[1] < 1e-6
     assert _exact_rank(_exact_jacobian(u)) == 3
 
 
@@ -1831,8 +1893,22 @@ def test_printed_counterexamples_are_exactly_full_rank(n, seed):
     # the charts behind goldens rank_scan_n7_seed3.txt and rank_scan_n8_seed0.txt:
     # the float test calls them rank deficient, the exact Jacobian has rank n - 2
     u = ChartPoint(tuple(rank_scan(n, 200, seed=seed)["counterexample"]))
-    assert _rank_and_ratio(albanese_jacobian(u), 0.0)[1] < 1e-6
+    assert _rank_and_ratio(_singular_values(albanese_jacobian(u)), 0.0)[1] < 1e-6
     assert _exact_rank(_exact_jacobian(u)) == n - 2
+
+
+def test_benchmark_scan_counterexamples_are_exactly_full_rank():
+    # Every counterexample that the benchmark-shaped scans print, 1000 trials
+    # at n = 4..8 and seeds 0..4: the float SVD calls each chart rank
+    # deficient, and the exact Jacobian has rank n - 2 at all 18 of them.
+    flagged = [
+        (n, rep["counterexample"])
+        for n in range(4, 9) for seed in range(5)
+        if (rep := rank_scan(n, 1000, seed))["counterexample"] is not None
+    ]
+    assert len(flagged) == 18
+    for n, u in flagged:
+        assert _exact_rank(_exact_jacobian(ChartPoint(tuple(u)))) == n - 2
 
 
 def test_rank_scan_schema_and_preconditions():
