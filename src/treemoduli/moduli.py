@@ -51,44 +51,35 @@ _MAX_N = 64
 def _table(n: int) -> tuple[np.ndarray, ...]:
     """The chart layer's arrays at n, in this order: trip, gather, bk, bk[idx] and flat.
 
-    trip (T, 3) lists the triples and bk the b column of their last point
-    (0 at the infinity anchor).  Row r of the (n - 2, K) index table idx
-    lists, in triple order, the K = C(n - 1, 2) triples that contain point
-    r + 1, the point of chart coordinate r; no other triple ratio depends on
-    that coordinate, and flat[r K + k] is entry (idx[r, k], r) of a flat
-    (T, n - 2) Jacobian.  Entry (slot, sign, r, k) of the (3, 2, n - 2, K)
-    gather table is the row, in a chart's value table [0, u_1 .. u_{n-2}, 1, 1,
-    u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of that slot's point of
-    triple idx[r, k], with point r + 1 moved by +h or -h.  bk[idx] is stored
-    at the (2, n - 2, K) shape of one chart's stencil ratios, both signs, so
-    the stencil's products by it need no iteration buffer.  Read-only, cached
-    for the last 8 n; ValueError above n = _MAX_N, before anything is allocated.
+    Column s of the (3, T) table trip lists the points of triple s, and bk
+    the b column of its last point (0 at the infinity anchor).  Row r of the
+    (n - 2, K) index table idx lists, in triple order, the K = C(n - 1, 2)
+    triples that contain point r + 1, the point of chart coordinate r; no
+    other triple ratio depends on that coordinate, and flat[r K + k] is entry
+    (idx[r, k], r) of a flat (T, n - 2) Jacobian.  Entry (slot, sign, r, k) of
+    the (3, 2, n - 2, K) gather table is the row, in a chart's value table [0,
+    u_1 .. u_{n-2}, 1, 1, u_1 + h .. u_{n-2} + h, u_1 - h .. u_{n-2} - h], of
+    that slot's point of triple idx[r, k], with point r + 1 moved by +h or -h.
+    bk[idx] is stored at the (2, n - 2, K) shape of one chart's stencil ratios,
+    both signs, so the stencil's products by it need no iteration buffer.
+    trip and gather are C-contiguous and writeable, as ndarray.take copies
+    any other index on every call; nothing writes into them.  The other three
+    are read-only.  Cached for the last 8 n; ValueError above n = _MAX_N,
+    before anything is allocated.
     """
     if n > _MAX_N:
         raise ValueError(f"a chart of {n - 2} coordinates is above the limit of {_MAX_N - 2} (n <= {_MAX_N})")
-    trip = np.asarray(triples(n), dtype=int)
-    bk = (trip[:, 2] != n).astype(float)
+    trip = np.asarray(triples(n), dtype=int).T.copy()
+    bk = (trip[2] != n).astype(float)
     pts = np.arange(1, n - 1)
-    idx = np.array([np.flatnonzero((trip == p).any(axis=1)) for p in pts])
-    slots = trip[idx].transpose(2, 0, 1)[:, None]
+    idx = np.array([np.flatnonzero((trip == p).any(axis=0)) for p in pts])
+    slots = trip[:, None, idx]
     moved = n + pts[:, None] + np.arange(2)[:, None, None] * (n - 2)
-    bk_idx = np.repeat(bk[idx][None], 2, axis=0)
-    table = trip, np.where(slots == pts[:, None], moved, slots), bk, bk_idx, (idx * (n - 2) + pts[:, None] - 1).ravel()
-    for a in table:
+    gather = np.where(slots == pts[:, None], moved, slots).copy()  # in C order
+    table = trip, gather, bk, np.repeat(bk[idx][None], 2, axis=0), (idx * (n - 2) + pts[:, None] - 1).ravel()
+    for a in table[2:]:
         a.flags.writeable = False
     return table
-
-
-@functools.lru_cache(maxsize=8)
-def _take_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Private copies of the index rows of _table(n) for take: trip.T (3, T) and gather.
-
-    ndarray.take copies an index that is read-only or not C-contiguous on
-    every call, and the _table arrays are read-only; these copies are
-    C-contiguous and writeable, and nothing writes into them.
-    """
-    trip, gather, _, _, _ = _table(n)
-    return trip.T.copy(), gather.copy()
 
 
 def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk: np.ndarray) -> np.ndarray:
@@ -97,8 +88,6 @@ def _gauge_ratios(a: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray, bk
     (0 - a_i)(a_j b_k - a_k) / ((0 - a_j)(a_i b_k - a_k)): projline._cross with
     its exact products by 1.0 dropped and every other operation in its order,
     so its num / den bit for bit.  In place: at most four result-sized arrays.
-    i, j and k go to take as they are: pass C-contiguous, writeable indices
-    (_take_index), or take copies each of them first.
     """
     x13 = a.take(i, axis=-1) * bk
     ak = a.take(k, axis=-1)
@@ -121,7 +110,8 @@ def _chart_ratios(u: np.ndarray) -> np.ndarray:
     """
     n = u.shape[-1] + 2
     a = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u, np.ones(u.shape[:-1] + (2,))], axis=-1)
-    return _gauge_ratios(a, *_take_index(n)[0], _table(n)[2])
+    trip, _, bk, _, _ = _table(n)
+    return _gauge_ratios(a, *trip, bk)
 
 
 def _cover_values(rho: np.ndarray) -> np.ndarray:
@@ -152,11 +142,11 @@ def _seam_margin(rho: np.ndarray) -> np.ndarray:
 
 
 def _wrap(d: np.ndarray) -> np.ndarray:
-    """(d + 0.5) % 1.0 - 0.5 bit for bit for d in [-1, 1], where the modulo is a shift by 1 (exact)."""
+    """(d + 0.5) % 1.0 - 0.5 bit for bit for d in [-1, 1]: the modulo subtracts floor(d + 0.5), -1, 0 or 1."""
     x = d + 0.5
-    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) >= 1.0:
-        x = np.where(x < 0.0, x + 1.0, np.where(x >= 1.0, x - 1.0, x))
-    return x - 0.5
+    x -= np.floor(x)
+    x -= 0.5
+    return x
 
 
 def _refusals(U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,14 +199,14 @@ def _central_jacobians(U: np.ndarray, h: float, reduce) -> np.ndarray:
     there.  Each difference is wrapped into the lift nearest the base value.
     A slice's dense (charts, T, dim) Jacobians go to reduce before the next
     slice is computed, in one buffer that the next slice overwrites, so reduce
-    must not return a view of it; the result stacks what reduce returns per
-    chart.  reduce=_pullback gives an (m, dim, dim) stack of metrics,
+    must not return a view of it; one np.concatenate, also of a single slice,
+    stacks what reduce returns per chart.  reduce=_pullback gives an (m, dim, dim) stack of metrics,
     _singular_values an (m, dim) one and np.copy the (m, T, dim) Jacobians.
     U holds only rows that _refusals passes.
     """
     m, dim = U.shape
-    trip, _, _, bk_idx, flat = _table(dim + 2)
-    gather, T = _take_index(dim + 2)[1], len(trip)
+    trip, gather, _, bk_idx, flat = _table(dim + 2)
+    T = trip.shape[1]
     step = max(1, _BUDGET // (T * dim))
     jac, out = np.zeros((min(m, step), T * dim)), []
     for s in range(0, max(m, 1), step):  # no charts: one empty slice gives the result's shape
@@ -226,7 +216,7 @@ def _central_jacobians(U: np.ndarray, h: float, reduce) -> np.ndarray:
         rows = jac[:len(V)]
         rows[:, flat] = (_wrap(t[:, 0] - t[:, 1]) / (2.0 * h)).reshape(len(V), len(flat))
         out.append(reduce(rows.reshape(len(V), T, dim)))
-    return out[0] if len(out) == 1 else np.concatenate(out)
+    return np.concatenate(out)
 
 
 def _pullback(jac: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from treemoduli.moduli import (
     _seam_margin,
     _singular_values,
     _table,
-    _take_index,
     _wrap,
 )
 from treemoduli._streams import pcg64_doubles, pcg64_streams
@@ -374,10 +373,11 @@ def test_jacobian_seam_guard():
         albanese_jacobian(ChartPoint((1.0, 0.5)))
 
 
-def test_jacobian_central_vs_analytic():
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 16])
+def test_jacobian_central_vs_analytic(n):
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        u = random_chart(rng, 4)
+    for _ in range(100 if n <= 8 else 10):
+        u = random_chart(rng, n)
         fd = albanese_jacobian(u)
         an = np.array(_exact_jacobian(u), dtype=float)
         assert np.allclose(fd, an, rtol=1e-5, atol=1e-8 * np.abs(an).max())
@@ -472,24 +472,29 @@ def exact_metric(u):
 
 
 @pytest.mark.parametrize(
-    "side",
+    "chart, low",
     [
-        lambda d: (0.3 + d, 0.3),  # u_1 = u_2
-        lambda d: (1.0 + d, 2.5),  # u_1 = 1
-        lambda d: (d, 2.5),  # u_1 = 0
+        (lambda d, rest: (0.3 + d, 0.3, *rest), 4),  # u_1 = u_2
+        (lambda d, rest: (1.0 + d, 2.5, *rest), 4),  # u_1 = 1
+        (lambda d, rest: (d, 2.5, *rest), 4),  # u_1 = 0
+        (lambda d, rest: (rest[0], 0.3 + d, 0.3, *rest[1:]), 5),  # u_2 = u_3
+        (lambda d, rest: (0.3, *rest, 1.0 + d), 4),  # u_{n-2} = 1
+        (lambda d, rest: (2.5, d, *rest), 4),  # u_2 = 0
+        (lambda d, rest: (0.3 + d, *rest, 0.3), 5),  # u_1 = u_{n-2}; at n = 4 the case u_1 = u_2
     ],
-    ids=["u1=u2", "u1=1", "u1=0"],
+    ids=["u1=u2", "u1=1", "u1=0", "u2=u3", "u(n-2)=1", "u2=0", "u1=u(n-2)"],
 )
-def test_exact_metric_is_continuous_across_seams(side):
+def test_exact_metric_is_continuous_across_seams(chart, low):
     # the metric on the two sides of a seam agrees to first order in the
     # offset: the largest entry difference falls about 2^10-fold for each
     # 2^-10 step of the offset (at n = 4 by 80.2, 1.93 and 1.57 times the
-    # offset), also with generic dyadic coordinates after the seam's two
-    for n in range(4, 8):
+    # offset on the first three seams), also with generic dyadic coordinates
+    # besides the seam's two, and with the seam away from u_1
+    for n in range(low, 8):
         rest = (-0.625, 3.75, 1.5625)[:n - 4]
         gaps = []
         for d in (2.0**-20, 2.0**-30, 2.0**-40):
-            lo, hi = exact_metric(side(-d) + rest), exact_metric(side(d) + rest)
+            lo, hi = exact_metric(chart(-d, rest)), exact_metric(chart(d, rest))
             gaps.append(max(abs(x - y) for a, b in zip(lo, hi) for x, y in zip(a, b)))
         for big, small in zip(gaps, gaps[1:]):
             assert 2**9 <= big / small <= 2**11, n
@@ -550,8 +555,9 @@ def test_cover_values_and_wrap_match_the_reference_bit_for_bit():
         [0.5, -0.5, 1.0, -1.0, 0.0, -0.0], half, -half, rng.uniform(-1.0, 1.0, 1000),
         np.nextafter([-1.0, 1.0], 0.0), np.nextafter([0.5, -0.5], 0.0),
     ])
-    # _wrap shifts only when some d + 0.5 leaves [0, 1): arrays that need no
-    # shift, and single values on both sides of each edge
+    # _wrap subtracts floor(d + 0.5), -1, 0 or 1, from each element alone:
+    # arrays whose every d + 0.5 lies in [0, 1), where it subtracts 0, and
+    # single values on both sides of each edge of that interval
     edges = [-1.0, 1.0, -0.5, 0.5, 0.0, -0.0, *np.nextafter([-0.5, -0.5, 0.5, 0.5], [-1.0, 0.0, 0.0, 1.0])]
     for x in [d, rng.uniform(-0.5, 0.5, 1000), np.array([0.0, -0.0]), np.nextafter([0.5, -0.5], 0.0),
               np.empty(0), *([e] for e in edges)]:
@@ -621,40 +627,66 @@ def test_in_place_seam_margin_holds_three_arrays_of_its_argument_size():
     assert peak < 3.2 * rho.nbytes  # the out-of-place reference peaks at 6
 
 
-def test_gauge_ratios_take_contiguous_writeable_indices(monkeypatch):
+def test_table_is_the_one_cached_store_of_the_take_indices(monkeypatch):
     # ndarray.take copies an index that is read-only or not C-contiguous on
-    # every call, and every _table array is read-only: the screen and the
-    # stencil pass _gauge_ratios the private copies of _take_index.
+    # every call.  The screen and the stencil pass _gauge_ratios views of
+    # the cached trip and gather, which are C-contiguous and writeable, and
+    # nothing writes into them; bk, bk[idx] and flat are read-only.
     import treemoduli.moduli as mod
 
     seen = []
     ratios = mod._gauge_ratios
 
     def recording(a, i, j, k, bk):
-        seen.extend((i, j, k))
+        seen.append((i, j, k))
         return ratios(a, i, j, k, bk)
 
     rng = np.random.default_rng(16)
     charts = {n: np.array([random_chart(rng, n).u for _ in range(3)]) for n in (3, 4, 16)}
     monkeypatch.setattr(mod, "_gauge_ratios", recording)
     for n, U in charts.items():
+        table = _table(n)
+        assert len(table) == 5
+        for a, again in zip(table, _table(n)):
+            assert a is again
+        trip, gather, bk, bk_idx, flat = table
+        for a in (bk, bk_idx, flat):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 2
+        before = [a.tobytes() for a in table]
+        seen.clear()
         mod._chart_ratios(U)
         mod._central_jacobians(U, 1e-6, np.copy)
-        trip, gather = _table(n)[:2]
-        rows, index = _take_index(n)
-        assert rows.tobytes() == trip.T.tobytes() and index.tobytes() == gather.tobytes()
-    assert len(seen) == 3 * (3 + 1 + 1 + 3)  # a screen per n, stencil slices of 3, 3 and 1 charts
-    for index in seen:
-        assert index.flags.c_contiguous and index.flags.writeable
+        assert len(seen) == (2 if n < 16 else 4)  # a screen, then stencil slices of 3, 3 and 1 charts
+        for call, store in zip(seen, [trip] + [gather] * (len(seen) - 1)):
+            for index in call:
+                assert index.flags.c_contiguous and index.flags.writeable
+                assert np.shares_memory(index, store)  # a view, not a copy per call
+        assert [a.tobytes() for a in table] == before
+    assert [name for name, f in vars(mod).items() if hasattr(f, "cache_info")] == ["_table"]
+
+
+def near_seam_charts(rng, n, h):
+    """The first 20 charts of one seeded draw that one _refusals screen accepts with seam margin at most 100 h."""
+    U = np.tan(np.pi * (rng.random((2**17 // math.comb(n, 3), n - 2)) + 0.25))
+    rule, margin = _refusals(U, h)
+    near = U[(rule == 0) & (margin <= 100.0 * h)]
+    assert len(near) >= 20
+    return [ChartPoint(tuple(u)) for u in near[:20].tolist()]
 
 
 def test_stacked_central_jacobians_match_per_chart_loop():
+    # Charts above 100 h from every seam at n = 3, 4, 8, 12 and 16, and at
+    # n = 4..8 also charts with seam margin in (10 h, 100 h], where the
+    # stencil's differences are largest, so nearest to where _wrap subtracts 1
     rng = np.random.default_rng(11)
-    for n in (3, 4, 8, 12, 16):
-        charts = [random_chart(rng, n) for _ in range(9)]
+    for n in (3, 4, 5, 6, 7, 8, 12, 16):
+        charts = [random_chart(rng, n) for _ in range(9)] if n in (3, 4, 8, 12, 16) else []
+        if 4 <= n <= 8:
+            charts += near_seam_charts(np.random.default_rng([89, n]), n, 1e-6)
         T = math.comb(n, 3)
         stack = _central_jacobians(np.array([u.u for u in charts]), 1e-6, np.copy)
-        assert stack.shape == (9, T, n - 2)
+        assert stack.shape == (len(charts), T, n - 2)
         for u, jac in zip(charts, stack):
             ref = loop_jacobian(u)
             # the entries the sparse stencil skips are +0.0 in the dense loop
@@ -668,17 +700,18 @@ def test_gather_table_moves_each_point_in_its_own_slot():
     for n in (3, 5, 9):
         trip, gather, bk, bk_idx, flat = _table(n)
         dim, K = n - 2, math.comb(n - 1, 2)
-        assert [tuple(t) for t in trip] == triples(n)
-        assert list(bk) == [float(t[2] != n) for t in trip]  # 0 at the infinity anchor
+        assert trip.shape == (3, math.comb(n, 3))  # slot rows
+        assert [tuple(t) for t in trip.T] == triples(n)
+        assert list(bk) == [float(t[2] != n) for t in trip.T]  # 0 at the infinity anchor
         assert gather.shape == (3, 2, dim, K) and bk_idx.shape == (2, dim, K) and flat.shape == (dim * K,)
         idx, col = np.divmod(flat.reshape(dim, K), dim)  # (triple, coordinate) in a flat (T, dim) Jacobian
         assert (col == np.arange(dim)[:, None]).all()
         assert bk_idx.tobytes() == np.stack([bk[idx]] * 2).tobytes()  # both signs
         for r in range(dim):
-            assert list(idx[r]) == [k for k, t in enumerate(trip) if r + 1 in t]
+            assert list(idx[r]) == [k for k, t in enumerate(trip.T) if r + 1 in t]
             for sign in range(2):
                 moved = n + 1 + sign * dim + r  # the row of u_{r+1} + h, or of u_{r+1} - h
-                for k, t in enumerate(trip[idx[r]]):
+                for k, t in enumerate(trip[:, idx[r]].T):
                     rows = gather[:, sign, r, k]
                     assert list(rows == moved) == [p == r + 1 for p in t]
                     assert [int(v) for v, p in zip(rows, t) if p != r + 1] == [p for p in t if p != r + 1]
@@ -757,7 +790,7 @@ def test_chart_above_the_size_limit_is_refused():
     for call in (lambda: metric_matrix(big), lambda: curve_length([big, moved])):
         with pytest.raises(ValueError, match=r"^a chart of 63 coordinates is above the limit of 62 \(n <= 64\)$"):
             call()
-    assert len(_table(64)[0]) == math.comb(64, 3)  # the limit itself is taken
+    assert _table(64)[0].shape == (3, math.comb(64, 3))  # the limit itself is taken
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
@@ -802,16 +835,6 @@ def test_chart_layer_re_exports_the_exact_layer():
     for name in ("Configuration", "ChartPoint", "albanese", "chart_coords", "relabel", "triples"):
         assert getattr(treemoduli, name) is getattr(configuration, name)
     assert treemoduli.metric_matrix is metric_matrix and treemoduli.moduli is moduli
-
-
-def test_triple_table_is_cached_and_read_only():
-    # one table per n, shared by every kernel call: trip, gather, bk, bk[idx], flat
-    table = _table(6)
-    assert len(table) == 5
-    for a, again in zip(table, _table(6)):
-        assert a is again
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 2
 
 
 def test_jacobian_rank():
