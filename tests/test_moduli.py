@@ -627,11 +627,11 @@ def test_in_place_seam_margin_holds_three_arrays_of_its_argument_size():
     assert peak < 3.2 * rho.nbytes  # the out-of-place reference peaks at 6
 
 
-def test_table_is_the_one_cached_store_of_the_take_indices(monkeypatch):
+def test_gauge_ratios_take_contiguous_writeable_indices(monkeypatch):
     # ndarray.take copies an index that is read-only or not C-contiguous on
     # every call.  The screen and the stencil pass _gauge_ratios views of
     # the cached trip and gather, which are C-contiguous and writeable, and
-    # nothing writes into them; bk, bk[idx] and flat are read-only.
+    # nothing writes into them.
     import treemoduli.moduli as mod
 
     seen = []
@@ -646,13 +646,7 @@ def test_table_is_the_one_cached_store_of_the_take_indices(monkeypatch):
     monkeypatch.setattr(mod, "_gauge_ratios", recording)
     for n, U in charts.items():
         table = _table(n)
-        assert len(table) == 5
-        for a, again in zip(table, _table(n)):
-            assert a is again
-        trip, gather, bk, bk_idx, flat = table
-        for a in (bk, bk_idx, flat):
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 2
+        trip, gather = table[:2]
         before = [a.tobytes() for a in table]
         seen.clear()
         mod._chart_ratios(U)
@@ -663,6 +657,22 @@ def test_table_is_the_one_cached_store_of_the_take_indices(monkeypatch):
                 assert index.flags.c_contiguous and index.flags.writeable
                 assert np.shares_memory(index, store)  # a view, not a copy per call
         assert [a.tobytes() for a in table] == before
+
+
+def test_triple_table_is_cached_and_read_only():
+    # one table per n, shared by every kernel call: trip, gather, bk, bk[idx],
+    # flat.  bk, bk[idx] and flat are read-only; trip and gather stay
+    # writeable so that ndarray.take uses them without a copy (see above).
+    import treemoduli.moduli as mod
+
+    for n in (3, 4, 6, 16):
+        table = _table(n)
+        assert len(table) == 5
+        for a, again in zip(table, _table(n)):
+            assert a is again
+        for a in table[2:]:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 2
     assert [name for name, f in vars(mod).items() if hasattr(f, "cache_info")] == ["_table"]
 
 
