@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -237,11 +236,19 @@ def _albanese(args) -> str:
         raise ParseError("configuration JSON is nested too deeply") from None
     cfg = configuration.Configuration.from_json(doc)
     values = _json12(configuration.albanese(cfg))
-    # the triples hold ints only: one % format writes them all
-    flat = tuple(itertools.chain.from_iterable(configuration.triples(cfg.n)))
-    triples = ", ".join(["[%d, %d, %d]"] * (len(flat) // 3)) % flat
-    return '{"n": %d, "points": %s, "triples": [%s], "values": %s}\n' % (
-        cfg.n, _json12(cfg.to_json()["points"]), triples, values)
+    return '{"n": %d, "points": %s, "triples": %s, "values": %s}\n' % (
+        cfg.n, _json12(cfg.to_json()["points"]), _triples_json(cfg.n), values)
+
+
+def _triples_json(n: int) -> str:
+    """json.dumps of triples(n) as lists, formatting one "[i, j, " prefix per pair and one "k]" tail per k."""
+    tails = ["%d]" % k for k in range(n + 1)]
+    rows = []
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            prefix = "[%d, %d, " % (i, j)
+            rows.append(prefix + (", " + prefix).join(tails[j + 1:]))
+    return "[" + ", ".join(rows) + "]"
 
 
 def _metric(args) -> str:

@@ -91,7 +91,12 @@ class Interval(Enum):
 
     @property
     def is_boundary(self) -> bool:
-        return self in (Interval.ZERO, Interval.ONE, Interval.INFINITY)
+        return self in (_AT_ZERO, _AT_ONE, _AT_INFINITY)
+
+
+# The tags under module names: one Interval.X read costs more than the rest of _branch.
+_NEGATIVE, _UNIT, _UPPER = Interval.NEGATIVE, Interval.UNIT, Interval.UPPER
+_AT_ZERO, _AT_ONE, _AT_INFINITY = Interval.ZERO, Interval.ONE, Interval.INFINITY
 
 
 def _branch(a: float, b: float) -> tuple[Interval, float, float, float]:
@@ -104,21 +109,21 @@ def _branch(a: float, b: float) -> tuple[Interval, float, float, float]:
     0, 1, infinity get the value 0.
     """
     if b == 0.0:
-        return Interval.INFINITY, 0.0, a, a
+        return _AT_INFINITY, 0.0, a, a
     if a == 0.0:
-        return Interval.ZERO, 0.0, b, b
+        return _AT_ZERO, 0.0, b, b
     if a == b:
-        return Interval.ONE, 0.0, b, b
+        return _AT_ONE, 0.0, b, b
     if a < 0.0:
-        return Interval.NEGATIVE, b, b - a, -a
+        return _NEGATIVE, b, b - a, -a
     if a < b:
-        return Interval.UNIT, a, b, b - a
-    return Interval.UPPER, a - b, a, b
+        return _UNIT, a, b, b - a
+    return _UPPER, a - b, a, b
 
 
 def classify(p: ProjPoint) -> Interval:
     """Interval tag of a point; boundary tags within the equality tolerance."""
-    marked = ((Interval.INFINITY, INFINITY), (Interval.ZERO, ZERO), (Interval.ONE, ONE))
+    marked = ((_AT_INFINITY, INFINITY), (_AT_ZERO, ZERO), (_AT_ONE, ONE))
     for tag, q in marked:
         if chordal(p, q) <= POINT_TOL:
             return tag
@@ -176,7 +181,7 @@ def logit(p: ProjPoint) -> ProjPoint:
 
     Raises DomainError for affine values outside [0, 1].
     """
-    if _branch(p.a, p.b)[0] not in (Interval.UNIT, Interval.ZERO, Interval.ONE):
+    if _branch(p.a, p.b)[0] not in (_UNIT, _AT_ZERO, _AT_ONE):
         raise DomainError("logit needs an affine value in [0, 1]")
     return line_cover(p)
 

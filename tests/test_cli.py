@@ -256,6 +256,20 @@ def test_output_at_the_benchmark_shapes(tmp_path):
     assert digests == BENCH_SHAPED_DIGESTS
 
 
+@pytest.mark.parametrize("n", [*range(3, 13), 48, 128])
+def test_albanese_triples_field_is_the_json_of_triples(n, tmp_path):
+    # the CLI writes the triples by prefix; the goldens stop at n = 12
+    from test_moduli import benchmark_shaped_configuration
+
+    from treemoduli.configuration import triples
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(benchmark_shaped_configuration(n, seed=0).to_json()))
+    out = run_ok("albanese", "--input", str(config))
+    field = out.split(', "triples": ', 1)[1].split(', "values": ', 1)[0]
+    assert field == json.dumps([list(t) for t in triples(n)])
+
+
 # -- 12-digit JSON numbers --------------------------------------------------------------
 
 

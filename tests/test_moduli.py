@@ -300,6 +300,15 @@ def benchmark_shaped_configuration(n: int, seed: int) -> Configuration:
 # a subnormal product (4e-311 * 3.25) next to one above 2: _canon scales the pair
 # by 1/2 and rounds the subnormal entry, which the sign rule alone would not do
 @example(Configuration((ZERO, pt(4e-311), pt(1.5), pt(-1.75))))
+# the edge of albanese's fast path: num is exactly 2**-960 (taken without _canon)
+# or the next float below it (taken through _canon), next to a den of 2.36
+# (_canon scales by 1/2) and one of 0.89 (_canon scales by 2)
+@example(Configuration((ZERO, pt(2.0**-957), pt(-4.875), pt(-3.875))))
+@example(Configuration((ZERO, pt(math.nextafter(2.0**-957, 0.0)), pt(-4.875), pt(-3.875))))
+@example(Configuration((ZERO, pt(2.0**-960), pt(-4.75), pt(-0.75))))
+@example(Configuration((ZERO, pt(math.nextafter(2.0**-960, 0.0)), pt(-4.75), pt(-0.75))))
+@example(Configuration((ZERO, pt(3.0), pt(2.0), pt(0.5))))  # den = -1.25 on the fast path: the sign rule alone
+@example(Configuration((ZERO, pt(0.5), pt(0.5), pt(2.0))))  # x_1 = x_2: num == den = 0.375 on the fast path
 def test_albanese_is_triple_coord_bit_for_bit(c):
     # albanese evaluates the stored pairs without building points; it must
     # give triple_coord's value for every triple, or raise its 0/0 error
@@ -828,12 +837,20 @@ def test_table_cache_holds_at_most_8_tables():
 def test_albanese_above_the_size_limit_is_refused(monkeypatch):
     import treemoduli.configuration as conf
 
+    class PastTheGuard(Exception):
+        pass
+
+    def dets(pairs):
+        raise PastTheGuard(len(pairs))
+
     big = Configuration((ZERO, INFINITY, *(pt(float(k)) for k in range(1, 129))))  # n = 129
-    monkeypatch.setattr(conf, "triples", None)  # refused before any triple is listed
+    monkeypatch.setattr(conf, "_pair_dets", None)  # refused before the determinant table is formed
     with pytest.raises(ValueError, match=r"^a configuration of n = 129 is above the albanese limit of n = 128$"):
         albanese(big)
-    monkeypatch.setattr(conf, "triples", lambda n: [])
-    assert albanese(Configuration(big.points[:-1])) == []  # the limit itself is taken
+    monkeypatch.setattr(conf, "_pair_dets", dets)
+    with pytest.raises(PastTheGuard) as info:  # the limit itself is taken
+        albanese(Configuration(big.points[:-1]))
+    assert info.value.args == (129,)
 
 
 def test_chart_layer_re_exports_the_exact_layer():
